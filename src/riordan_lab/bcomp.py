@@ -11,8 +11,17 @@ closed form
               sum over partitions of n into m odd parts, with part i
               occurring m_i times, of  prod_i b_i^{m_i} / m_i!
 
-which :func:`u_entry` implements directly; the fixed-point route lives in
-``pseudo.g_from_b`` so the two act as checks on each other.
+which :func:`u_entry` implements directly.  The partition sum collapses to
+the convolution values s_j(m) = [x^j] B(x)^m, the entries of the matrix
+(1, xB(x)):
+
+    u_{n,m} = falling((n+m)/2, m-1) / m! * s_{(n-m)/2}(m),
+
+so :func:`u_matrix`, :func:`u_poly` and the power polynomials read every
+entry off one table of truncated B-powers (:func:`b_powers`) in O(N^3)
+coefficient products.  ``u_entry`` stays as the closed form that ``verify``
+and the tests compare against, and the fixed-point route in
+``pseudo.g_from_b`` checks both.
 
 Three families with closed forms are provided alongside the generic
 machinery: the lattice-path matrix R for B = 1/(1-x) (whose rising
@@ -47,7 +56,9 @@ def _binom(top: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 def u_entry(b_fun: Series, n: int, m: int) -> Coeff:
-    """Entry (n, m) of the triangle of B-composition polynomials."""
+    """Entry (n, m) of the triangle of B-composition polynomials, as the
+    closed-form sum over partitions of n into m odd parts (the claim under
+    test; :func:`u_matrix` computes the same entries from B-powers)."""
     assert n >= 0 and m >= 0
     if m > n:
         return 0
@@ -72,15 +83,52 @@ def u_entry(b_fun: Series, n: int, m: int) -> Coeff:
     return falling_factorial((n + m) // 2, m - 1) * total
 
 
+def b_powers(b_fun: Series, top: int) -> List[Series]:
+    """The powers B^0, B^1, ..., B^top, power m truncated to order
+    (top - m) // 2.
+
+    These are exactly the convolution values s_j(m) = [x^j] B^m that rows
+    0..top of the triangle read, so one table serves a whole triangle.
+    Building it costs O(top^3) coefficient products.
+    """
+    assert top >= 0
+    need = (top - 1) // 2
+    if b_fun.order < need:
+        raise InsufficientOrder(
+            "need b-coefficients through index %d, have %d"
+            % (need, b_fun.order))
+    powers = [Series.one(top // 2)]
+    for m in range(1, top + 1):
+        k = (top - m) // 2
+        powers.append(powers[-1].truncate(k) * b_fun.truncate(k))
+    return powers
+
+
+def _table_entry(powers: List[Series], n: int, m: int) -> Coeff:
+    """Entry (n, m), m <= n, of the triangle from a table of B-powers:
+    falling((n+m)/2, m-1) / m! * s_{(n-m)/2}(m)."""
+    if m == 0:
+        return 1 if n == 0 else 0
+    if (n - m) % 2 != 0:
+        return 0
+    s_val = powers[m].coeff((n - m) // 2)
+    if s_val == 0:
+        return 0
+    return Fraction(falling_factorial((n + m) // 2, m - 1), factorial(m)) * s_val
+
+
 def u_poly(b_fun: Series, n: int, param: str = "x") -> Poly:
     """Row n of the triangle as a polynomial."""
-    return Poly(param, [u_entry(b_fun, n, m) for m in range(n + 1)])
+    powers = b_powers(b_fun, n)
+    return Poly(param, [_table_entry(powers, n, m) for m in range(n + 1)])
 
 
 def u_matrix(b_fun: Series, size: int) -> TriMatrix:
-    """First `size` rows of the triangle of B-composition polynomials."""
+    """First `size` rows of the triangle of B-composition polynomials,
+    read off one table of B-powers."""
     assert size >= 1
-    return TriMatrix([[u_entry(b_fun, n, m) for m in range(n + 1)]
+    powers = b_powers(b_fun, size - 1)
+    return TriMatrix([[_table_entry(powers, n, m) for m in range(n + 1)]
                       for n in range(size)])
 
 
@@ -106,17 +154,10 @@ def u_beta_poly(b_fun: Series, n: int, beta: Coeff, param: str = "x") -> Poly:
     assert n >= 0
     if n == 0:
         return Poly(param, [1])
-    if b_fun.order < (n - 1) // 2:
-        raise InsufficientOrder(
-            "need b-coefficients through index %d, have %d"
-            % ((n - 1) // 2, b_fun.order))
+    powers = b_powers(b_fun, n)
     coeffs: List[Coeff] = [0] * (n + 1)
-    power = Series.one(b_fun.order)
-    for m in range(1, n + 1):
-        power = power * b_fun
-        if (n - m) % 2 != 0:
-            continue
-        s_val = power.coeff((n - m) // 2)
+    for m in range(2 - n % 2, n + 1, 2):
+        s_val = powers[m].coeff((n - m) // 2)
         if s_val == 0:
             continue
         term = beta * falling_factorial(beta + (n + m) // 2 - 1, m - 1)
@@ -124,28 +165,45 @@ def u_beta_poly(b_fun: Series, n: int, beta: Coeff, param: str = "x") -> Poly:
     return Poly(param, coeffs)
 
 
+def _times_linear(cs: List[int], a: int) -> List[int]:
+    """Coefficients of (phi + a) * sum_j cs[j] phi^j."""
+    return [a * c + prev for c, prev in zip(cs + [0], [0] + cs)]
+
+
+def b_expansion_rows(b_fun: Series, top: int, param: str = "phi") -> List[Poly]:
+    """[x^n] g^phi for n = 0..top as polynomials in phi, g the phi = 1
+    member of B; the same polynomials as ``pseudo.b_expansion``.
+
+    Row n is sum_q phi * falling(phi + k - 1, q - 1) / q! * s_{(n-q)/2}(q)
+    with k = (n+q)/2.  The s values come from one table of B-powers, and
+    each falling factorial from the previous one of its row:
+    falling(phi + k, q + 1) = (phi + k) (phi + k - q) falling(phi + k - 1, q - 1),
+    so all rows cost O(top^3) integer and coefficient products.
+    """
+    assert top >= 0
+    powers = b_powers(b_fun, top)
+    rows = [Poly.const(param, 1)]
+    for n in range(1, top + 1):
+        total: List[Coeff] = [0] * (n + 1)
+        # phi * falling(phi + k - 1, q - 1) at the row's first q (1 or 2)
+        fall = [0, 1] if n % 2 else [0, n // 2, 1]
+        for q in range(2 - n % 2, n + 1, 2):
+            s_val = powers[q].coeff((n - q) // 2)
+            if s_val != 0:
+                w = Fraction(1, factorial(q)) * s_val
+                for j, c in enumerate(fall):
+                    total[j] = total[j] + c * w
+            k = (n + q) // 2
+            fall = _times_linear(_times_linear(fall, k), k - q)
+        rows.append(Poly(param, total))
+    return rows
+
+
 def q_poly(g: Series, n: int, param: str = "z") -> Poly:
     """Convolution polynomial [x^n] g^z written through g's B-sequence."""
     from .pseudo import b_from_g
-    b_fun = b_from_g(g)
     assert n >= 0
-    if n == 0:
-        return Poly(param, [1])
-    if b_fun.order < (n - 1) // 2:
-        raise InsufficientOrder("g is truncated too early for index %d" % n)
-    z = Poly.var(param)
-    total: Coeff = Poly(param, ())
-    power = Series.one(b_fun.order)
-    for m in range(1, n + 1):
-        power = power * b_fun
-        if (n - m) % 2 != 0:
-            continue
-        s_val = power.coeff((n - m) // 2)
-        if s_val == 0:
-            continue
-        term = z * falling_factorial(z + (n + m) // 2 - 1, m - 1)
-        total = total + term * Fraction(1, factorial(m)) * s_val
-    return total
+    return b_expansion_rows(b_from_g(g), n, param)[n]
 
 
 def exp_pair_entry(b_fun: Series, n: int, m: int) -> Coeff:
@@ -713,11 +771,7 @@ def u_row_via_conv(b_fun: Series, n: int, param: str = "x") -> Poly:
     assert n >= 0
     if n == 0:
         return Poly(param, [1])
-    if b_fun.order < (n - 1) // 2:
-        raise InsufficientOrder("b-function truncated too early")
-    powers = [Series.one(b_fun.order)]
-    for _ in range(n):
-        powers.append(powers[-1] * b_fun)
+    powers = b_powers(b_fun, n)
     coeffs: List[Coeff] = [0] * (n + 1)
     if n % 2 == 0:
         k = n // 2

@@ -35,10 +35,10 @@ from fractions import Fraction
 from . import flow as flow_mod
 from . import verify as verify_mod
 from .alphabeta import alpha_weights, beta_weights
-from .bcomp import u_matrix
+from .bcomp import b_expansion_rows, u_matrix
 from .errors import ParseError, RiordanError
 from .exprs import series_from_text
-from .pseudo import b_expansion, b_from_g, g_from_b
+from .pseudo import b_from_g, g_from_b
 from .riordan import (RiordanPair, coeff_str, matrix_to_csv,
                       matrix_to_json_dict, matrix_to_text)
 from .series import Coeff, Series
@@ -196,7 +196,7 @@ def _cmd_bseq_extract(args: argparse.Namespace) -> CommandResult:
 def _cmd_bexp_poly(args: argparse.Namespace) -> CommandResult:
     order = _resolve_order(args)
     bf = series_from_text(args.b, order)
-    polys = [b_expansion(bf, n) for n in range(order + 1)]
+    polys = b_expansion_rows(bf, order)
     if args.format == "text":
         out = "\n".join("%d: %s" % (n, p) for n, p in enumerate(polys))
     elif args.format == "csv":

@@ -174,7 +174,7 @@ class _Parser:
 
     def exponent(self) -> Fraction:
         if self.peek().kind != "(":
-            return Fraction(int(self.expect("int", expected=("int",)).text))
+            return Fraction(int(self.expect("int", expected=("int", "(")).text))
         self.take()
         value = self.rational()
         self.expect(")")

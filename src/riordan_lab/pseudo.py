@@ -39,29 +39,38 @@ __all__ = [
 def g_from_b(b_fun: Series, phi: Coeff, order: int) -> Series:
     """Solve g = 1 + x*g*(phi*B)(x^2*g) for g, truncated at ``order``.
 
-    Coefficient n of g depends only on coefficients below n, so a growing
-    fixed point converges in ``order`` sweeps.  This is the independent
-    oracle the closed-form expansions are tested against.
+    Expanding the right side gives
+
+        g_n = sum_k phi*b_k * [x^(n-1-2k)] g^(k+1),
+
+    which reads only coefficients below n.  The coefficient lists of the
+    powers g^2 .. g^(K+1), with K the last index where phi*b_k != 0 and
+    2k+1 <= order, grow by one coefficient each per step, so the solve
+    costs O(K * order^2) coefficient products: O(order^3) at worst, and
+    O(order) for a constant B.  It never builds powers of B, so it stays
+    the independent oracle the closed-form expansions and the composition
+    triangle are tested against.
     """
     need = (order - 1) // 2
     if b_fun.order < need:
         raise InsufficientOrder(
             "B carries %d coefficients, need %d for order %d"
             % (b_fun.order + 1, need + 1, order))
-    pb = (b_fun * phi).zero_extended(max(order, b_fun.order))
-    g = Series.one(0)
-    for m in range(1, order + 1):
-        gm = g.zero_extended(m)
-        inner = gm.x_mul(2).truncate(m)
-        # evaluate (phi*B)(x^2 g) to order m; only b_k with 2k <= m contribute
-        acc = Series.zero(m)
-        for k in range(m // 2, -1, -1):
-            acc = acc * inner
-            c = pb.coeff(k)
-            if c != 0:
-                acc = acc + c
-        g = gm.x_mul(1).truncate(m) * acc + 1
-    return g.zero_extended(order) if order == 0 else g
+    pb = [b_fun.coeff(k) * phi for k in range(need + 1)]
+    while pb and pb[-1] == 0:
+        pb.pop()
+    g: list[Coeff] = [1]
+    # powers[p] lists the known coefficients of g^p; powers[1] is g itself
+    powers: list[list[Coeff]] = [[], g] + [[] for _ in range(len(pb) - 1)]
+    for n in range(1, order + 1):
+        # the new coefficient x^(n-2p+1) of each g^p that step n reads
+        for p in range(2, min(len(pb), (n + 1) // 2) + 1):
+            i = n - 2 * p + 1
+            prev = powers[p - 1]
+            powers[p].append(sum(g[t] * prev[i - t] for t in range(i + 1)))
+        g.append(sum(pb[k] * powers[k + 1][n - 1 - 2 * k]
+                     for k in range(min(len(pb), (n + 1) // 2)) if pb[k] != 0))
+    return Series(g, order)
 
 
 def b_from_g(g: Series) -> Series:
@@ -74,7 +83,8 @@ def b_from_g(g: Series) -> Series:
     if g.constant != 1:
         raise NotPseudoInvolution("g(0) must be 1, got %r" % (g.constant,))
     n = g.order
-    assert n >= 1, "need at least order 1 to extract anything"
+    if n < 1:
+        raise InsufficientOrder("need at least order 1 to extract a B-sequence")
     kmax = (n - 1) // 2
     xg = g.x_mul(1).truncate(n)
     inner = g.x_mul(2).truncate(n)
@@ -134,7 +144,8 @@ def sqrt_decompose(g: Series) -> SqrtDecomposition:
 
 def b_expansion(b_fun: Series, n: int, param: str = "phi") -> Poly:
     """Coefficient of x^n in the B-scaled family, as a polynomial in the
-    scaling parameter.
+    scaling parameter, by the paper's closed form (the claim under test;
+    ``bcomp.b_expansion_rows`` computes the same rows from B-powers).
 
     Summed over partitions of n into odd parts 2i+1 with multiplicities m_i:
     contribution  p * (p+k-1)*(p+k-2)*...*(p+k-q+1) / prod(m_i!) * prod(b_i**m_i)

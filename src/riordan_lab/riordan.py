@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
 
-from .errors import InsufficientOrder, NotPseudoInvolution
+from .errors import BadConstantTerm, InsufficientOrder, NotPseudoInvolution
 from .series import Coeff, Poly, Series
 
 __all__ = [
@@ -186,8 +186,10 @@ class RiordanPair:
     g: Series
 
     def __post_init__(self):
-        assert self.f.constant != 0, "f must be invertible at 0"
-        assert self.g.constant != 0, "g must be invertible at 0"
+        if self.f.constant == 0:
+            raise BadConstantTerm("f must be invertible at 0")
+        if self.g.constant == 0:
+            raise BadConstantTerm("g must be invertible at 0")
 
     @classmethod
     def identity(cls, order: int) -> "RiordanPair":
@@ -212,14 +214,15 @@ class RiordanPair:
         if self.order < n:
             raise InsufficientOrder(
                 "need series order %d for %d rows, have %d" % (n, size, self.order))
-        col = self.f.truncate(n) if self.f.order > n else self.f
-        g = self.g.truncate(n) if self.g.order > n else self.g
+        col = self.f
         rows = [[0] * (k + 1) for k in range(size)]
         for m in range(size):
             for r in range(m, size):
                 rows[r][m] = col.coeff(r - m)
             if m < n:
-                col = col * g
+                # column m+1 reads only x^0 .. x^(n-m-1) of f * g^(m+1)
+                k = n - m - 1
+                col = col.truncate(k) * self.g.truncate(k)
         return TriMatrix(rows)
 
     def exp_matrix(self, size: int) -> TriMatrix:

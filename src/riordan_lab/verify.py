@@ -222,13 +222,15 @@ def _normalize_monomials(
 
 
 def suite_bpoly(order: int = 24) -> list[Check]:
-    """Row polynomials of the composition triangle give [x^n] g directly,
-    and the stored phi = 1 monomial table matches the recursive oracle."""
+    """Row polynomials of the composition triangle, built from the closed
+    partition form ``u_entry``, give [x^n] g directly, and the stored
+    phi = 1 monomial table matches the recursive oracle."""
     rng = random.Random(103)
     results = {phi: True for phi in _PHIS}
     for _ in range(25):
         bf = _random_bfun(rng, order)
-        polys = [bcomp.u_poly(bf, n) for n in range(order + 1)]
+        polys = [Poly("x", [bcomp.u_entry(bf, n, m) for m in range(n + 1)])
+                 for n in range(order + 1)]
         for phi in _PHIS:
             g = pseudo.g_from_b(bf, phi, order)
             for n in range(order + 1):

@@ -1,5 +1,6 @@
 """Composition triangles <B> and their closed-form families."""
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -8,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from riordan_lab import bcomp as B
+from riordan_lab.errors import InsufficientOrder
 from riordan_lab.fixtures import load_matrix
-from riordan_lab.pseudo import g_from_b
+from riordan_lab.pseudo import b_expansion, g_from_b
 from riordan_lab.riordan import (RiordanPair, col_gf, diag_up_poly, row_poly)
 from riordan_lab.series import Poly, Series
 
@@ -281,3 +283,66 @@ def test_cbar_series_values():
     assert cb.coeff(0) == 1
     assert cb.coeff(2) == Fraction(1, 2)
     assert cb.coeff(4) == Fraction(1, 12)
+
+
+# ---------------------------------------------------------------------------
+# the B-power table against the partition closed forms
+# ---------------------------------------------------------------------------
+
+def _oracle_bfuns(order):
+    """Random dense and sparse B carrying exactly ``order`` + 1 coefficients,
+    and last a B with Poly coefficients in t."""
+    rng = random.Random(order)
+    dense = Series([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                    for _ in range(order + 1)], order)
+    sparse = [0] * (order + 1)
+    sparse[0] = rng.randint(1, 5)
+    sparse[rng.randint(0, order)] = -3
+    no_constant = [0] * (order + 1)
+    no_constant[order] = Fraction(7, 2)
+    t = Poly.var("t")
+    symbolic = Series([1 + t, Fraction(1, 2) * t * t, -2, 3 * t][:order + 1],
+                      order)
+    return [dense, Series(sparse, order), Series(no_constant, order), symbolic]
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 10])
+def test_table_triangle_matches_partition_entries(size):
+    order = max(0, (size - 2) // 2)
+    for bf in _oracle_bfuns(order):
+        mat = B.u_matrix(bf, size)
+        for n in range(size):
+            want = [B.u_entry(bf, n, m) for m in range(n + 1)]
+            assert mat.rows[n] == want
+            assert B.u_poly(bf, n) == Poly("x", want)
+            assert B.u_beta_poly(bf, n, 1) == Poly("x", want)
+            if n:
+                assert B.u_row_via_conv(bf, n) == Poly("x", want)
+
+
+def test_table_triangle_needs_enough_weights():
+    B.u_matrix(Series([1, 2], 1), 5)
+    with pytest.raises(InsufficientOrder):
+        B.u_matrix(Series([1, 2], 1), 6)
+    with pytest.raises(InsufficientOrder):
+        B.u_poly(Series([1, 2], 1), 5)
+
+
+@pytest.mark.parametrize("top", [0, 1, 2, 7, 10])
+def test_expansion_rows_match_partition_expansion(top):
+    order = max(0, (top - 1) // 2)
+    *rational, symbolic = _oracle_bfuns(order)
+    for bf in rational:
+        assert B.b_expansion_rows(bf, top) == [b_expansion(bf, n)
+                                               for n in range(top + 1)]
+    # the partition sum takes rational B only: compare the Poly-coefficient
+    # B after substituting values for t
+    rows = B.b_expansion_rows(symbolic, top)
+    for t in (2, Fraction(-1, 3)):
+        bt = symbolic.map_coeffs(lambda c: c(t) if isinstance(c, Poly) else c)
+        for n, row in enumerate(rows):
+            at_t = Poly("phi", [c(t) if isinstance(c, Poly) else c
+                                for c in row.coeffs])
+            assert at_t == b_expansion(bt, n)
+    with pytest.raises(InsufficientOrder):
+        B.b_expansion_rows(Series([1], 0), 3)

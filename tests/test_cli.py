@@ -1,6 +1,9 @@
 """End-to-end command line tests: wiring, formats, exit codes, golden files."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +26,15 @@ FAMILIES = {
     "bcomp_catalan": "catalan",
 }
 EXTENSIONS = {"text": "txt", "csv": "csv", "json": "json"}
+# golden file stem -> command: each B of FAMILIES through the three verbs
+# that build triangles and expansions.  The bexp and riordan files were
+# written by the partition-sum and Horner routes, so they pin the B-power
+# table and the incremental solver to that output byte for byte.
+VERBS = {"bcomp": ["bcomp", "matrix"], "bexp": ["bexp", "poly"],
+         "riordan": ["riordan", "build", "--phi=-5/7"]}
+GOLDEN_RUNS = {
+    verb + name[len("bcomp"):]: argv + ["--b", expr]
+    for verb, argv in VERBS.items() for name, expr in FAMILIES.items()}
 
 
 @pytest.fixture(autouse=True)
@@ -32,12 +44,10 @@ def _clean_order_env(monkeypatch):
 
 # golden files ----------------------------------------------------------------
 
-@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 @pytest.mark.parametrize("fmt", sorted(EXTENSIONS))
 def test_golden_matrix_outputs(name, fmt, capsys):
-    expr = FAMILIES[name]
-    code = main(["bcomp", "matrix", "--b", expr, "--order", "10",
-                 "--format", fmt])
+    code = main(GOLDEN_RUNS[name] + ["--order", "10", "--format", fmt])
     captured = capsys.readouterr()
     assert code == 0
     assert captured.err == ""
@@ -193,6 +203,35 @@ def test_domain_error_exit_three(capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("BadConstantTerm")
+
+
+# bseq extract at order 0 has no coefficient to read; riordan build with
+# g(0) = 0 is not a Riordan pair.  Both are typed errors, also under -O.
+DOMAIN_ERROR_INPUTS = (
+    (["bseq", "extract", "--g", "1/(1-x)", "--order", "0"], "InsufficientOrder"),
+    (["riordan", "build", "--g", "x", "--order", "4"], "BadConstantTerm"),
+)
+
+
+def test_reachable_asserts_are_domain_errors():
+    for argv, name in DOMAIN_ERROR_INPUTS:
+        result = run(argv)
+        assert result.exit_code == 3, argv
+        assert result.output.startswith(name), result.output
+
+
+@pytest.mark.parametrize("opt", [[], ["-O"]], ids=["plain", "optimize"])
+def test_domain_errors_exit_three_in_a_fresh_process(opt):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for argv, name in DOMAIN_ERROR_INPUTS:
+        proc = subprocess.run([sys.executable] + opt
+                              + ["-m", "riordan_lab.cli"] + argv,
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 3, (argv, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(name), proc.stderr
 
 
 def test_usage_errors_exit_two():

@@ -208,7 +208,7 @@ def test_unknown_name_lists_the_alternatives():
 def test_symbolic_exponent_rejected():
     with pytest.raises(ParseError) as info:
         parse("x^y")
-    assert info.value.expected == ("int",)
+    assert info.value.expected == ("int", "(")
 
 
 def test_chained_power_rejected():

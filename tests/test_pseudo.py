@@ -77,6 +77,62 @@ def test_decomposition_identities():
     assert rec.agrees(Series([1, 1, 2], rec.order), rec.order)
 
 
+def _horner_g_from_b(b_fun, phi, order):
+    """The earlier fixed-point solver, kept as an oracle: one Horner
+    evaluation of (phi*B)(x^2 g) per order m, O(order^4)."""
+    pb = (b_fun * phi).zero_extended(max(order, b_fun.order))
+    g = Series.one(0)
+    for m in range(1, order + 1):
+        gm = g.zero_extended(m)
+        inner = gm.x_mul(2).truncate(m)
+        acc = Series.zero(m)
+        for k in range(m // 2, -1, -1):
+            acc = acc * inner
+            c = pb.coeff(k)
+            if c != 0:
+                acc = acc + c
+        g = gm.x_mul(1).truncate(m) * acc + 1
+    return g.zero_extended(order) if order == 0 else g
+
+
+def _solver_bfuns(rng, order):
+    """Dense, sparse, constant and long B for ``order``, each carrying at
+    least the (order-1)//2 + 1 coefficients the solver needs."""
+    need = max(0, (order - 1) // 2)
+    dense = Series([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                    for _ in range(need + 1)], need)
+    sparse = Series([0] * need + [rng.randint(1, 5)], need)
+    long = Series([rng.randint(-3, 3) for _ in range(order + 3)], order + 2)
+    return [dense, sparse, Series([Fraction(3, 2)], need), long]
+
+
+@pytest.mark.parametrize("phi", [0, 1, Fraction(2, 3), Fraction(-5, 7),
+                                 Poly.var("phi")],
+                         ids=["0", "1", "2/3", "-5/7", "symbolic"])
+def test_incremental_solver_matches_horner(phi):
+    rng = random.Random(23)
+    for order in (0, 1, 2, 3, 8, 13):
+        for bf in _solver_bfuns(rng, order):
+            assert g_from_b(bf, phi, order) == _horner_g_from_b(bf, phi, order)
+
+
+def test_incremental_solver_matches_horner_on_poly_weights():
+    t = Poly.var("t")
+    bf = Series([1 + t, 0, Fraction(1, 2) * t * t, -2, 3 * t], 4)
+    for phi in (1, Fraction(-5, 7)):
+        for order in (0, 1, 2, 9):
+            assert g_from_b(bf, phi, order) == _horner_g_from_b(bf, phi, order)
+
+
+def test_incremental_solver_needs_enough_weights():
+    for order in range(3, 12):
+        need = (order - 1) // 2
+        bf = Series(list(range(1, need + 2)), need)
+        assert g_from_b(bf, 1, order) == _horner_g_from_b(bf, 1, order)
+        with pytest.raises(InsufficientOrder):
+            g_from_b(bf.truncate(need - 1), 1, order)
+
+
 def test_decomposition_rejects_non_members():
     with pytest.raises(NotPseudoInvolution):
         sqrt_decompose(Series.catalan(10))

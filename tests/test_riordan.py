@@ -7,7 +7,8 @@ from math import comb
 
 import pytest
 
-from riordan_lab.errors import NotPseudoInvolution
+from riordan_lab.errors import (BadConstantTerm, InsufficientOrder,
+                                 NotPseudoInvolution)
 from riordan_lab.riordan import (RiordanPair, TriMatrix, a_sequence, coeff_str,
                                  col_gf, conv_polys, diag_down_gf,
                                  diag_up_poly, matrix_from_json_dict,
@@ -105,6 +106,42 @@ def test_pascal_pair_matrix():
     want = TriMatrix.from_entry_fn(
         7, lambda n, m: comb(n, m) * Fraction(1, 2) ** (n - m))
     assert scaled == want
+
+
+def _untruncated_matrix(pair, size):
+    """Entry (n, m) = [x^n] f * (x*g)^m with every product at full order."""
+    rows = [[0] * (k + 1) for k in range(size)]
+    col = pair.f
+    for m in range(size):
+        for r in range(m, size):
+            rows[r][m] = col.coeff(r - m)
+        col = col * pair.g
+    return TriMatrix(rows)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 10])
+def test_pair_matrix_matches_untruncated_column_products(size):
+    rng = random.Random(size)
+    t = Poly.var("t")
+    for extra in (0, 3):
+        order = size - 1 + extra
+        dense = Series([rng.randint(1, 5)]
+                       + [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                          for _ in range(order)], order)
+        sparse = Series([1] + [0] * (order - 1) + [-2], order)
+        symbolic = Series([2 + t, 0, t * t, -1], order)
+        for f, g in ((dense, sparse), (sparse, dense), (symbolic, dense),
+                     (dense, symbolic)):
+            pair = RiordanPair(f, g)
+            assert pair.matrix(size) == _untruncated_matrix(pair, size)
+    with pytest.raises(InsufficientOrder):
+        RiordanPair(Series.one(size - 1), Series.one(size)).matrix(size + 1)
+
+
+def test_pair_rejects_zero_constant_terms():
+    for f, g in ((Series.x(3), Series.one(3)), (Series.one(3), Series.x(3))):
+        with pytest.raises(BadConstantTerm):
+            RiordanPair(f, g)
 
 
 def test_identity_pair():
