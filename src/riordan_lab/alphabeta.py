@@ -89,6 +89,53 @@ def factor_series(k: int, weight: Coeff, order: int) -> Series:
 # Weight extraction and resummation
 # ─────────────────────────────────────────────────────────────────────────────
 
+def _substitute_factor(cur: Series, k: int, weight: Coeff) -> Series:
+    """cur(factor_k(x)), the type-k factor with the given weight substituted
+    into cur.
+
+    Sums cur_m times column m of the factor matrix, each a closed form with
+    one term per k-th coefficient.
+    """
+    n = cur.order
+    out: list[Coeff] = [0] * (n + 1)
+    for m, c in enumerate(cur.coeffs):
+        if c == 0:
+            continue
+        col = factor_column_gf(k, weight, m, n).coeffs
+        for i in range(m, n + 1, k):
+            if col[i] != 0:
+                out[i] = out[i] + c * col[i]
+    return Series(out, n)
+
+
+def _apply_factor(cur: Series, k: int, weight: Coeff) -> Series:
+    """factor_k(cur(x)), the type-k factor applied to a series cur with
+    cur(0) = 0.
+
+    The factor is sum_j f_j x^(1+jk), so the image is sum_j f_j cur^(1+jk);
+    the powers are walked by one product with cur**k each, every product
+    truncated to the coefficients that can still reach x^order.
+    """
+    n = cur.order
+    if n == 0:
+        return Series.zero(0)
+    f = factor_series(k, weight, n).coeffs
+    u = cur.div_x(1)                       # cur^(1+jk) = x^(1+jk) u^(1+jk)
+    step = u.truncate(max(n - 1 - k, 0)) ** k
+    out: list[Coeff] = [0] * (n + 1)
+    term = u
+    for shift in range(1, n + 1, k):       # shift = 1 + jk
+        if shift > 1:
+            # u^(1+jk) is read through x^(n-shift)
+            term = term.truncate(n - shift) * step.truncate(n - shift)
+        fj = f[shift]
+        if fj != 0:
+            for i, c in enumerate(term.coeffs):
+                if c != 0:
+                    out[shift + i] = out[shift + i] + fj * c
+    return Series(out, n)
+
+
 def alpha_weights(g: Series, count: int | None = None) -> list[Coeff]:
     """Weights of the factorization with the type-1 factor outermost.
 
@@ -107,7 +154,7 @@ def alpha_weights(g: Series, count: int | None = None) -> list[Coeff]:
         out.append(a)
         if k < n:
             # remainder = wbar_k(cur(x)) with wbar_k the weight-negated factor
-            cur = factor_series(k, -a, cur.order).compose(cur)
+            cur = _apply_factor(cur, k, -a)
             assert all(cur.coeff(j) == 0 for j in range(2, k + 2))
     return out
 
@@ -126,7 +173,7 @@ def beta_weights(g: Series, count: int | None = None) -> list[Coeff]:
         out.append(b)
         if k < n:
             # remainder = cur(wbar_k(x)): the innermost factor comes off first
-            cur = cur.compose(factor_series(k, -b, cur.order))
+            cur = _substitute_factor(cur, k, -b)
             assert all(cur.coeff(j) == 0 for j in range(2, k + 2))
     return out
 
@@ -137,7 +184,7 @@ def from_alpha(weights: Sequence[Coeff], order: int) -> Series:
     for k, w in enumerate(weights, start=1):
         if k + 1 > order:
             break  # deeper factors cannot touch coefficients up to x^order
-        cur = cur.compose(factor_series(k, w, order))
+        cur = _substitute_factor(cur, k, w)
     return cur
 
 
@@ -147,7 +194,7 @@ def from_beta(weights: Sequence[Coeff], order: int) -> Series:
     for k, w in enumerate(weights, start=1):
         if k + 1 > order:
             break
-        cur = factor_series(k, w, order).compose(cur)
+        cur = _apply_factor(cur, k, w)
     return cur
 
 
@@ -176,6 +223,12 @@ def beta_series(g: Series) -> Series:
 # ─────────────────────────────────────────────────────────────────────────────
 # The substitution matrix, its logarithm, and the flow
 # ─────────────────────────────────────────────────────────────────────────────
+#
+# The generator and the flow powers are single columns of log(1, g) and of
+# the binomial power (1, g)**t.  Production streams that one column out of
+# the difference vectors (M - I)^k e_1 (``_flow_column``), O(n^3); the
+# dense TriMatrix.log / pow_binomial, O(n^4), stay as the oracle behind
+# log_structure_check and the tests.
 
 def substitution_matrix(g: Series, size: int) -> TriMatrix:
     """Triangular matrix of (1, g): entry (n, m) = [x^n] g**m."""
@@ -183,14 +236,62 @@ def substitution_matrix(g: Series, size: int) -> TriMatrix:
     if size - 1 > g.order:
         raise InsufficientOrder("%d rows need series order %d, have %d"
                                 % (size, size - 1, g.order))
+    # [x^n] g**m = [x^(n-m)] (g/x)**m, and column m + 1 reads (g/x)**(m+1)
+    # only through x^(size-m-2)
+    h = g.div_x(1)
     rows: list[list[Coeff]] = [[0] * (r + 1) for r in range(size)]
-    col = Series.one(g.order)
+    col = Series.one(max(size - 1, 0))
     for m in range(size):
         for r in range(m, size):
-            rows[r][m] = col.coeff(r)
+            rows[r][m] = col.coeff(r - m)
         if m < size - 1:
-            col = col * g
+            top = size - m - 2
+            col = col.truncate(top) * h.truncate(top)
     return TriMatrix(rows)
+
+
+def _flow_column(mat: TriMatrix, col: int, t: Coeff | None = None) -> list[Coeff]:
+    """Rows col, col+1, ... of column col of log M, or of M**t with t given,
+    for a unipotent triangular M.
+
+    Both are sums sum_k w_k v_k over the difference vectors
+    v_k = (M - I)^k e_col, with w_k = (-1)^(k-1)/k for the logarithm and
+    w_k = binom(t, k) for the power.  Each v_k is one matrix-vector
+    product and the stream stops at the first vector that vanishes, so a
+    column costs O(size^3) where the dense log or power costs O(size^4).
+    The vanishing vector is still added, scaled, as the dense sum adds it,
+    so the entries keep the dense sum's types (Fraction(1, 1), not 1, on
+    the diagonal of a power).
+    """
+    size = mat.size
+    rows = mat.rows
+    vec: list[Coeff] = [0] * size
+    vec[col] = 1
+    out: list[Coeff] = [0] * size
+    if t is not None:
+        out[col] = 1
+    w: Coeff = 1
+    for k in range(1, size):
+        lo = col + k - 1                   # v_(k-1) vanishes above row lo
+        nxt: list[Coeff] = [0] * size
+        for i in range(lo + 1, size):
+            row = rows[i]
+            acc: Coeff = 0
+            for j in range(lo, i):
+                v, a = vec[j], row[j]
+                if v != 0 and a != 0:
+                    acc = acc + a * v
+            nxt[i] = acc
+        if t is None:
+            w = Fraction((-1) ** (k - 1), k)
+        else:
+            w = w * (t - (k - 1)) / Fraction(k)
+        for i in range(col, size):
+            out[i] = out[i] + nxt[i] * w
+        if all(v == 0 for v in nxt):
+            break
+        vec = nxt
+    return out[col:]
 
 
 def log_generator(g: Series) -> Series:
@@ -201,11 +302,8 @@ def log_generator(g: Series) -> Series:
     matrix logarithm.  It satisfies omega(g(x)) = omega(x) * g'(x).
     """
     _require_normalized(g)
-    lg = substitution_matrix(g, g.order + 1).log()
-    coeffs: list[Coeff] = [0, 0]
-    for j in range(1, g.order):
-        coeffs.append(lg.entry(j + 1, 1))
-    return Series(coeffs, g.order)
+    lg = _flow_column(substitution_matrix(g, g.order + 1), 1)
+    return Series([0, 0] + lg[1:], g.order)
 
 
 def log_structure_check(g: Series) -> bool:
@@ -234,11 +332,9 @@ def substitution_power(g: Series, t: Coeff, order: int | None = None) -> Series:
     """
     _require_normalized(g)
     n = g.order if order is None else order
-    mt = substitution_matrix(g, n + 1).pow_binomial(t)
-    coeffs: list[Coeff] = [0]
-    for r in range(1, n + 1):
-        coeffs.append(mt.entry(r, 1))
-    return Series(coeffs, n)
+    mat = substitution_matrix(g, n + 1)
+    column = _flow_column(mat, 1, t) if n >= 1 else []
+    return Series([0] + column, n)
 
 
 def substitution_power_lie(g: Series, t: Coeff, order: int | None = None) -> Series:

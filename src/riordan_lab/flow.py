@@ -13,32 +13,46 @@ From b one rebuilds the whole flow triangle L, whose column n is
 polynomial c_n, gives [x^n] g^(phi) = c_n(phi).  The pair is a
 pseudo-involution exactly when b is even, equivalently when c_2n is even
 and c_{2n+1} is odd.
+
+M is the substitution matrix of x*g with its row 0 and column 0 dropped,
+so the Bell flow is the substitution flow of :mod:`riordan_lab.alphabeta`
+reindexed: b = omega/x^2 and g^(phi) = (x*g)^(phi)/x.  Production reads
+that one streamed column; the dense logarithm and binomial power of M
+(``bell_log_structure_check``, ``l_matrix_via_log_powers``,
+``bell_power_matrix``) are the oracle for the entrywise claims.
 """
 
 from fractions import Fraction
 from math import factorial
 from typing import List
 
+from .alphabeta import log_generator, substitution_power
 from .combinat import compositions
-from .errors import InsufficientOrder
+from .errors import BadConstantTerm, InsufficientOrder
 from .riordan import RiordanPair, TriMatrix
 from .series import Coeff, Poly, Series
 
 
+def _require_unit_constant(g: Series) -> None:
+    if g.constant != 1:
+        raise BadConstantTerm("flow is defined for g with constant term 1")
+
+
 def _bell_matrix(g: Series, size: int) -> TriMatrix:
-    assert g.constant == 1, "flow is defined for g with constant term 1"
+    _require_unit_constant(g)
     return RiordanPair(g, g).matrix(size)
 
 
 def bell_log_generator(g: Series) -> Series:
     """The series b generating the matrix logarithm of (g, xg).
 
-    Extracted from column 0 of the logarithm, where b_k sits in row k + 1.
+    Column 0 of the logarithm, where b_k sits in row k + 1: the generator
+    omega of the substitution flow of x*g, divided by x^2.
     """
-    size = g.order + 1
-    lg = _bell_matrix(g, size).log()
-    return Series([lg.entry(k + 1, 0) for k in range(size - 1)],
-                  max(0, size - 2))
+    _require_unit_constant(g)
+    if g.order == 0:
+        return Series.zero(0)
+    return log_generator(g.x_mul(1)).div_x(2)
 
 
 def bell_log_structure_check(g: Series) -> bool:
@@ -121,11 +135,14 @@ def bell_power_matrix(g: Series, phi: Coeff, size: int) -> TriMatrix:
 
 
 def bell_power_series(g: Series, phi: Coeff, order: int | None = None) -> Series:
-    """g^(phi): column 0 of the binomial power of the pair matrix."""
+    """g^(phi): column 0 of the binomial power of the pair matrix, read as
+    the substitution power (x*g)^(phi) divided by x."""
+    _require_unit_constant(g)
     if order is None:
         order = g.order
-    mat = bell_power_matrix(g, phi, order + 1)
-    return Series([mat.entry(n, 0) for n in range(order + 1)], order)
+    if order == 0:
+        return Series.one(0)  # the 1x1 binomial power is the identity
+    return substitution_power(g.x_mul(1), phi, order + 1).div_x(1)
 
 
 def c_poly(g: Series, n: int, param: str = "phi") -> Poly:

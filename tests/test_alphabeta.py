@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from riordan_lab import flow
-from riordan_lab.alphabeta import (alpha_series, alpha_weights, beta_series,
+from riordan_lab import cli, flow
+from riordan_lab.alphabeta import (_apply_factor, _flow_column,
+                                   _substitute_factor, alpha_series,
+                                   alpha_weights, beta_series,
                                    beta_weights, composition_poly,
                                    derivative_relations_check,
                                    derivative_relations_report,
@@ -30,6 +32,7 @@ from riordan_lab.alphabeta import (alpha_series, alpha_weights, beta_series,
                                    substitution_power, substitution_power_lie,
                                    weights_to_series)
 from riordan_lab.errors import NotPseudoInvolution
+from riordan_lab.riordan import RiordanPair, TriMatrix
 from riordan_lab.series import Poly, Series, binom_param
 
 N = 12
@@ -371,3 +374,75 @@ def test_pseudo_involution_symmetry():
     assert pseudo_involution_symmetry_check(_rna())
     with pytest.raises(NotPseudoInvolution):
         pseudo_involution_symmetry_check(_cat())
+
+
+# ---------------------------------------------------------------------------
+# production routes against the dense oracles
+# ---------------------------------------------------------------------------
+
+_SPARSE = [1, 0, Fraction(2, 3), 0, 0, -1, 0, 0, 0, 4, 0, 0, Fraction(1, 5)]
+_DENSE = [1, Fraction(1, 2), -3, Fraction(5, 7), 2, 1, Fraction(-1, 9), 3,
+          -2, Fraction(4, 5), 1, -1, Fraction(2, 3)]
+
+
+def test_streamed_columns_match_the_dense_log_and_power():
+    # g = 1 is the identity: every difference vector vanishes at once
+    for size in (1, 2, 7, 12):
+        for cs in ([1], _SPARSE, _DENSE):
+            g = Series(cs[:size], size - 1)
+            bell = RiordanPair(g, g).matrix(size)
+            subst = substitution_matrix(g.x_mul(1), size)
+            for mat in (bell, subst):
+                dense = [(None, mat.log())] + [
+                    (t, mat.pow_binomial(t))
+                    for t in (0, 1, Fraction(-5, 7), Poly.var("t"))]
+                for t, want in dense:
+                    for col in range(size):
+                        got = _flow_column(mat, col, t)
+                        column = [want.entry(n, col) for n in range(col, size)]
+                        assert got == column, (size, cs, t, col)
+                        assert repr(got) == repr(column), (size, cs, t, col)
+
+
+def _peel_inputs(n):
+    """Valuation-1 series of order n: dense, with gaps, and scaled x."""
+    dense = [0, 1, Fraction(1, 2), -3, Fraction(2, 5), 1, 0, -1, 7,
+             Fraction(-3, 4), 2, 1, -2, 5]
+    gaps = [0, -2, 0, 0, 3, 0, Fraction(1, 3), 0, 0, 0, -1, 0, 2, 0]
+    return [Series(dense, n), Series(gaps, n), Series([0, Fraction(3, 2)], n)]
+
+
+def test_peel_helpers_match_horner_composition():
+    t = Poly.var("t")
+    for n in range(13):
+        for cur in _peel_inputs(n):
+            for k in range(1, n + 2):
+                for w in (Fraction(-3, 4), 2, t):
+                    f = factor_series(k, w, n)
+                    assert _substitute_factor(cur, k, w) == cur.compose(f), \
+                        (n, cur, k, w)
+                    assert _apply_factor(cur, k, w) == f.compose(cur), \
+                        (n, cur, k, w)
+
+
+def test_production_flows_use_no_dense_log_power_or_compose(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("dense route called from production")
+
+    monkeypatch.setattr(TriMatrix, "log", refuse)
+    monkeypatch.setattr(TriMatrix, "pow_binomial", refuse)
+    monkeypatch.setattr(Series, "compose", refuse)
+    t = Poly.var("t")
+    g = _rnd()
+    bell = g.div_x(1)
+    weights = alpha_weights(g), beta_weights(g)
+    from_alpha(weights[0], N), from_beta(weights[1], N)
+    from_alpha([w * t for w in weights[0]], N)
+    log_generator(g)
+    substitution_power(g, Fraction(2, 3)), substitution_power(g, t)
+    composition_poly(g, 6), substitution_power_lie(g, 2)
+    flow.bell_log_generator(bell), flow.bell_power_series(bell, -2)
+    flow.l_matrix(bell, 8), flow.c_poly(bell, 6)
+    for argv in (["flow", "log", "--b", "1+x", "--order", "8"],
+                 ["alphabeta", "expand", "--g", "x*catalan", "--order", "8"]):
+        assert cli.run(argv).exit_code == 0

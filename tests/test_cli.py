@@ -26,15 +26,24 @@ FAMILIES = {
     "bcomp_catalan": "catalan",
 }
 EXTENSIONS = {"text": "txt", "csv": "csv", "json": "json"}
-# golden file stem -> command: each B of FAMILIES through the three verbs
-# that build triangles and expansions.  The bexp and riordan files were
-# written by the partition-sum and Horner routes, so they pin the B-power
-# table and the incremental solver to that output byte for byte.
+# golden file stem -> command: each B of FAMILIES through the verbs that
+# build triangles, expansions and flows, and x times each family through
+# the weight factorization.  The bexp and riordan files were written by
+# the partition-sum and Horner routes, so they pin the B-power table and
+# the incremental solver to that output byte for byte; the flow and
+# alphabeta files were written by the dense matrix logarithm and the
+# Horner-composition peels, so they pin the streamed column and the
+# closed-form peels the same way.
 VERBS = {"bcomp": ["bcomp", "matrix"], "bexp": ["bexp", "poly"],
-         "riordan": ["riordan", "build", "--phi=-5/7"]}
+         "riordan": ["riordan", "build", "--phi=-5/7"],
+         "flow": ["flow", "log"]}
 GOLDEN_RUNS = {
     verb + name[len("bcomp"):]: argv + ["--b", expr]
     for verb, argv in VERBS.items() for name, expr in FAMILIES.items()}
+GOLDEN_RUNS.update({
+    "alphabeta" + name[len("bcomp"):]: ["alphabeta", "expand",
+                                        "--g", "x*(%s)" % expr]
+    for name, expr in FAMILIES.items()})
 
 
 @pytest.fixture(autouse=True)
@@ -206,10 +215,12 @@ def test_domain_error_exit_three(capsys):
 
 
 # bseq extract at order 0 has no coefficient to read; riordan build with
-# g(0) = 0 is not a Riordan pair.  Both are typed errors, also under -O.
+# g(0) = 0 is not a Riordan pair; the flow of g needs g(0) = 1.  All are
+# typed errors, also under -O.
 DOMAIN_ERROR_INPUTS = (
     (["bseq", "extract", "--g", "1/(1-x)", "--order", "0"], "InsufficientOrder"),
     (["riordan", "build", "--g", "x", "--order", "4"], "BadConstantTerm"),
+    (["flow", "log", "--g", "2+x", "--order", "4"], "BadConstantTerm"),
 )
 
 

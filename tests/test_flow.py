@@ -3,11 +3,14 @@
 from fractions import Fraction
 from math import comb
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from riordan_lab import bcomp as B
 from riordan_lab import flow as F
+from riordan_lab.alphabeta import substitution_power
+from riordan_lab.errors import BadConstantTerm
 from riordan_lab.pseudo import g_from_b
 from riordan_lab.riordan import RiordanPair, TriMatrix, col_gf
 from riordan_lab.series import Poly, Series
@@ -214,3 +217,40 @@ def test_arbitrary_member_round_trip():
         got = F.bell_power_series(g, phi, 10)
         for n in range(11):
             assert F.c_poly(g, n)(phi) == got.coeff(n)
+
+
+# ---------------------------------------------------------------------------
+# the Bell flow as the reindexed substitution flow
+# ---------------------------------------------------------------------------
+
+def test_bell_power_is_the_substitution_power_of_xg():
+    t = Poly.var("t")
+    for g in (Series([1, 1], 5), B.rna_series(1, 7),
+              Series([1, Fraction(1, 2), -3, 0, 2, Fraction(-1, 9)], 5)):
+        xg = g.x_mul(1)
+        for phi in (0, 1, Fraction(-5, 7), t):
+            for order in range(g.order):
+                got = F.bell_power_series(g, phi, order)
+                assert got == substitution_power(xg, phi, order + 1).div_x(1)
+                dense = F.bell_power_matrix(g, phi, order + 1)
+                assert repr(got) == repr(col_gf(dense, 0))
+
+
+def test_bell_power_keeps_the_dense_types():
+    g = Series([1, 1], 3)
+    assert repr(F.bell_power_series(g, Fraction(1, 2))) == (
+        "Series([Fraction(1, 1), Fraction(1, 2), Fraction(-1, 4), "
+        "Fraction(1, 4)], order=3)")
+    assert repr(F.bell_log_generator(g)) == (
+        "Series([Fraction(1, 1), Fraction(-1, 1), Fraction(3, 2)], order=2)")
+
+
+def test_flow_needs_unit_constant_term():
+    g = Series([2, 1], 4)
+    for call in (lambda: F.bell_log_generator(g),
+                 lambda: F.bell_power_series(g, Fraction(1, 2)),
+                 lambda: F.l_matrix(g, 5),
+                 lambda: F.bell_power_matrix(g, 2, 5),
+                 lambda: F.bell_log_structure_check(g)):
+        with pytest.raises(BadConstantTerm):
+            call()
