@@ -15,7 +15,9 @@ over the partitions of n read as sorted compositions, ascending for alpha
 and descending for beta.  A third weight system, the coefficients of the
 generator omega with log(1, g) = (omega, x) D, produces the same
 polynomials through sums over all ordered compositions and drives the
-one-parameter flow (1, g)**t.
+one-parameter flow (1, g)**t.  The coefficients of the flow image of x, as
+polynomials in t, form the flow triangle of omega (``flow_triangle``); the
+Bell flow of :mod:`riordan_lab.flow` is this flow reindexed.
 
 Beyond extraction and resummation the module packages relations between
 the systems as boolean check functions.  Reversion swaps the two systems
@@ -38,7 +40,7 @@ from typing import Sequence
 
 from .combinat import compositions, partitions
 from .errors import InsufficientOrder, NotNormalized, NotPseudoInvolution
-from .riordan import TriMatrix
+from .riordan import RiordanPair, TriMatrix
 from .series import Coeff, Poly, Series
 
 
@@ -224,30 +226,22 @@ def beta_series(g: Series) -> Series:
 # The substitution matrix, its logarithm, and the flow
 # ─────────────────────────────────────────────────────────────────────────────
 #
-# The generator and the flow powers are single columns of log(1, g) and of
-# the binomial power (1, g)**t.  Production streams that one column out of
-# the difference vectors (M - I)^k e_1 (``_flow_column``), O(n^3); the
-# dense TriMatrix.log / pow_binomial, O(n^4), stay as the oracle behind
-# log_structure_check and the tests.
+# The substitution matrix is the Riordan array of the pair (1, g/x).  The
+# generator and the flow powers are single columns of log(1, g) and of the
+# binomial power (1, g)**t.  Production streams that one column out of the
+# difference vectors (M - I)^k e_1 (``_flow_column``), O(n^3); the dense
+# TriMatrix.log / pow_binomial, O(n^4), stay as the oracle behind
+# log_structure_check and the tests.  The flow polynomials, all rows at once,
+# come from the generator by the Lie recursion (``flow_triangle``).
 
 def substitution_matrix(g: Series, size: int) -> TriMatrix:
-    """Triangular matrix of (1, g): entry (n, m) = [x^n] g**m."""
+    """Triangular matrix of (1, g): entry (n, m) = [x^n] g**m, the Riordan
+    array of the pair (1, g/x)."""
     _require_normalized(g)
     if size - 1 > g.order:
         raise InsufficientOrder("%d rows need series order %d, have %d"
                                 % (size, size - 1, g.order))
-    # [x^n] g**m = [x^(n-m)] (g/x)**m, and column m + 1 reads (g/x)**(m+1)
-    # only through x^(size-m-2)
-    h = g.div_x(1)
-    rows: list[list[Coeff]] = [[0] * (r + 1) for r in range(size)]
-    col = Series.one(max(size - 1, 0))
-    for m in range(size):
-        for r in range(m, size):
-            rows[r][m] = col.coeff(r - m)
-        if m < size - 1:
-            top = size - m - 2
-            col = col.truncate(top) * h.truncate(top)
-    return TriMatrix(rows)
+    return RiordanPair(Series.one(max(size - 1, 0)), g.div_x(1)).matrix(size)
 
 
 def _flow_column(mat: TriMatrix, col: int, t: Coeff | None = None) -> list[Coeff]:
@@ -359,12 +353,47 @@ def substitution_power_lie(g: Series, t: Coeff, order: int | None = None) -> Ser
     return out
 
 
+def flow_triangle(omega: Series, size: int) -> TriMatrix:
+    """The first ``size`` rows of the flow triangle of the generator omega.
+
+    Entry (n, m) is the t^m coefficient of [x^(n+1)] exp(t * omega D) x, so
+    row n read as a polynomial in t is ``composition_poly`` at n + 1.
+    Column m is (1/m!) (omega D)^m x / x, built column by column by the Lie
+    recursion x*col_m = (1/m) omega (x*col_(m-1))'.  Reads omega through
+    x^size.
+    """
+    if omega.order < size:
+        raise InsufficientOrder("%d rows need the generator through x^%d, "
+                                "have x^%d" % (size, size, omega.order))
+    w = [omega.coeff(k + 2) for k in range(size)]        # omega / x^2
+    cols: list[list[Coeff]] = [[1] + [0] * (size - 1)]
+    for m in range(1, size):
+        prev = cols[-1]
+        # (x*prev)' / x, shifted up one place: entry k + 1 is (k+1) prev_k
+        shifted: list[Coeff] = [0] * size
+        for k in range(size - 1):
+            if prev[k] != 0:
+                shifted[k + 1] = (k + 1) * prev[k]
+        col: list[Coeff] = [0] * size
+        for i in range(size):
+            if w[i] == 0:
+                continue
+            for j in range(size - i):
+                if shifted[j] != 0:
+                    col[i + j] = col[i + j] + w[i] * shifted[j]
+        cols.append([Fraction(1, m) * c if c != 0 else 0 for c in col])
+    return TriMatrix([[cols[m][n] for m in range(n + 1)] for n in range(size)])
+
+
 def composition_poly(g: Series, n: int, param: str = "t") -> Poly:
-    """[x^n] of the flow image of x as a polynomial in the flow parameter."""
+    """[x^n] of the flow image of x as a polynomial in the flow parameter:
+    row n - 1 of the flow triangle, which reads g through x^n."""
     if n > g.order:
         raise InsufficientOrder("coefficient %d outside order %d" % (n, g.order))
-    c = substitution_power(g, Poly.var(param), n).coeff(n)
-    return c if isinstance(c, Poly) else Poly.const(param, c)
+    if n == 0:                  # the flow image of x has no constant term
+        _require_normalized(g)
+        return Poly(param)
+    return Poly(param, flow_triangle(log_generator(g.truncate(n)), n).rows[n - 1])
 
 
 # ─────────────────────────────────────────────────────────────────────────────

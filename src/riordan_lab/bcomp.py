@@ -454,20 +454,7 @@ def one_plus_x_entry(n: int, m: int) -> Coeff:
 def one_plus_x_row_poly(n: int, param: str = "x") -> Poly:
     """Row n for B = 1 + x in closed binomial form."""
     assert n >= 0
-    if n == 0:
-        return Poly(param, [1])
-    coeffs: List[Coeff] = [0] * (n + 1)
-    if n % 2 == 0:
-        half = n // 2
-        for m in range(half + 1):
-            coeffs[2 * m] = (catalan_number(half - m)
-                             * _binom(half + m, 3 * m - half))
-    else:
-        half = (n - 1) // 2
-        for m in range(half + 1):
-            coeffs[2 * m + 1] = (catalan_number(half - m)
-                                 * _binom(half + 1 + m, 3 * m + 1 - half))
-    return Poly(param, coeffs)
+    return Poly(param, [one_plus_x_entry(n, m) for m in range(n + 1)])
 
 
 def one_plus_x_down_diag_check(n: int, order: int) -> bool:
@@ -585,18 +572,7 @@ def catalan_b_entry(n: int, m: int) -> Coeff:
 def catalan_b_row_poly(n: int, param: str = "x") -> Poly:
     """Row n for B = C(x) in closed binomial form."""
     assert n >= 0
-    if n == 0:
-        return Poly(param, [1])
-    coeffs: List[Coeff] = [0] * (n + 1)
-    if n % 2 == 0:
-        half = n // 2
-        for m in range(1, half + 1):
-            coeffs[2 * m] = catalan_number(half - m) * _binom(n - 1, 2 * m - 1)
-    else:
-        half = (n - 1) // 2
-        for m in range(half + 1):
-            coeffs[2 * m + 1] = catalan_number(half - m) * _binom(n - 1, 2 * m)
-    return Poly(param, coeffs)
+    return Poly(param, [catalan_b_entry(n, m) for m in range(n + 1)])
 
 
 def down_diag_supposition_check(n: int, order: int) -> bool:

@@ -39,7 +39,7 @@ from .bcomp import b_expansion_rows, u_matrix
 from .errors import ParseError, RiordanError
 from .exprs import series_from_text
 from .pseudo import b_from_g, g_from_b
-from .riordan import (RiordanPair, coeff_str, matrix_to_csv,
+from .riordan import (RiordanPair, _entry_text, coeff_str, matrix_to_csv,
                       matrix_to_json_dict, matrix_to_text)
 from .series import Coeff, Series
 
@@ -118,16 +118,9 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 # emitters
 # ---------------------------------------------------------------------------
 
-def _pretty(c: Coeff) -> str:
-    f = Fraction(c)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
-
-
 def _emit_series(s: Series, fmt: str) -> str:
     if fmt == "text":
-        return ", ".join(_pretty(c) for c in s.coeffs)
+        return ", ".join(_entry_text(c) for c in s.coeffs)
     if fmt == "csv":
         return ",".join(coeff_str(c) for c in s.coeffs)
     return json.dumps({"order": s.order,
@@ -146,7 +139,7 @@ def _emit_weight_rows(rows: "dict[str, list[Coeff]]", fmt: str) -> str:
     if fmt == "text":
         width = max(len(k) + 1 for k in rows)
         return "\n".join("%-*s  %s" % (width, name + ":",
-                                       ", ".join(_pretty(c) for c in vals))
+                                       ", ".join(_entry_text(c) for c in vals))
                          for name, vals in rows.items())
     if fmt == "csv":
         return "\n".join(",".join(coeff_str(c) for c in vals)

@@ -16,18 +16,22 @@ and c_{2n+1} is odd.
 
 M is the substitution matrix of x*g with its row 0 and column 0 dropped,
 so the Bell flow is the substitution flow of :mod:`riordan_lab.alphabeta`
-reindexed: b = omega/x^2 and g^(phi) = (x*g)^(phi)/x.  Production reads
-that one streamed column; the dense logarithm and binomial power of M
+reindexed: b = omega/x^2, g^(phi) = (x*g)^(phi)/x, L is the flow triangle
+of omega and c_n is ``composition_poly`` of x*g at n + 1.  Production reads
+the generator and the powers from one streamed column and L from
+``alphabeta.flow_triangle``; the dense logarithm and binomial power of M
 (``bell_log_structure_check``, ``l_matrix_via_log_powers``,
-``bell_power_matrix``) are the oracle for the entrywise claims.
+``bell_power_matrix``) are the oracle for the entrywise claims, and the
+composition sums (``c_poly_formula``, ``c_beta_poly_formula``, both
+``alphabeta.s_omega_poly``) the oracle for the rows.
 """
 
 from fractions import Fraction
 from math import factorial
 from typing import List
 
-from .alphabeta import log_generator, substitution_power
-from .combinat import compositions
+from .alphabeta import (flow_triangle, log_generator, s_omega_poly,
+                        substitution_power)
 from .errors import BadConstantTerm, InsufficientOrder
 from .riordan import RiordanPair, TriMatrix
 from .series import Coeff, Poly, Series
@@ -78,41 +82,14 @@ def generator_equation_check(g: Series) -> bool:
     return lhs == rhs
 
 
-def l_matrix_from_generator(b_fun: Series, size: int) -> TriMatrix:
-    """Flow triangle built by the recursion col_n = (1/n) b * (D^T col_{n-1}).
-
-    D^T sends the coefficient a_k to (k+1) a_{k+1}-shifted position, i.e.
-    (D^T a)_{k+1} = (k+1) a_k.
-    """
-    assert size >= 1
-    if b_fun.order < size - 2:
-        raise InsufficientOrder(
-            "need %d generator coefficients, have %d"
-            % (size - 1, b_fun.order + 1))
-    b = [b_fun.coeff(k) for k in range(size)]
-    cols: List[List[Coeff]] = [[1] + [0] * (size - 1)]
-    for n in range(1, size):
-        prev = cols[-1]
-        shifted: List[Coeff] = [0] * size
-        for k in range(size - 1):
-            if prev[k] != 0:
-                shifted[k + 1] = (k + 1) * prev[k]
-        col: List[Coeff] = [0] * size
-        for i in range(size):
-            if b[i] == 0:
-                continue
-            for j in range(size - i):
-                if shifted[j] != 0:
-                    col[i + j] = col[i + j] + b[i] * shifted[j]
-        cols.append([Fraction(1, n) * c if c != 0 else 0 for c in col])
-    return TriMatrix([[cols[m][n] for m in range(n + 1)] for n in range(size)])
-
-
 def l_matrix(g: Series, size: int) -> TriMatrix:
-    """Flow triangle of g, via the generator extracted from log(g, xg)."""
+    """Flow triangle of g: the substitution flow triangle of x*g, whose
+    generator reads g only through x^(size-1)."""
     if g.order < size - 1:
         raise InsufficientOrder("need g through order %d" % (size - 1))
-    return l_matrix_from_generator(bell_log_generator(g), size)
+    _require_unit_constant(g)
+    xg = g.truncate(max(size - 1, 0)).x_mul(1)
+    return flow_triangle(log_generator(xg), size)
 
 
 def l_matrix_via_log_powers(g: Series, size: int) -> TriMatrix:
@@ -163,30 +140,14 @@ def c_poly_formula(b_fun: Series, n: int, param: str = "phi") -> Poly:
 
 def c_beta_poly_formula(b_fun: Series, n: int, beta: Coeff,
                         param: str = "phi") -> Poly:
-    """c_n(beta, phi) = [x^n] (g^(phi))^beta, the prefix products starting
-    from beta instead of 1."""
+    """c_n(beta, phi) = [x^n] (g^(phi))^beta for a rational beta, the prefix
+    products starting from beta instead of 1: ``s_omega_poly`` of the
+    generator at z = beta, t = phi."""
     assert n >= 0
-    if n == 0:
-        return Poly(param, [1])
     if b_fun.order < n - 1:
         raise InsufficientOrder("need %d generator coefficients" % n)
-    coeffs: List[Coeff] = [0] * (n + 1)
-    for m in range(1, n + 1):
-        acc: Coeff = 0
-        for comp in compositions(n, parts=m):
-            w: Coeff = 1
-            for i in comp:
-                w = w * b_fun.coeff(i - 1)
-            if w == 0:
-                continue
-            prefix = 0
-            for i in comp[:-1]:
-                prefix += i
-                w = w * (beta + prefix)
-            acc = acc + w
-        coeffs[m] = beta * acc * Fraction(1, factorial(m)) \
-            if acc != 0 else 0
-    return Poly(param, coeffs)
+    return s_omega_poly([b_fun.coeff(k) for k in range(n)], n, beta,
+                        Poly.var(param))
 
 
 def flow_parity_check(g: Series, size: int) -> bool:

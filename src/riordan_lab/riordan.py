@@ -209,11 +209,16 @@ class RiordanPair:
         return self.g.x_mul(1)
 
     def matrix(self, size: int) -> TriMatrix:
-        """First ``size`` rows; entry (n, m) = [x^n] f * (x*g)^m."""
+        """First ``size`` rows; entry (n, m) = [x^n] f * (x*g)^m.
+
+        Reads f through x^(size-1) and g through x^(size-2): the factor x
+        in x*g spends one order.
+        """
         n = size - 1
-        if self.order < n:
+        if self.f.order < n or self.g.order < n - 1:
             raise InsufficientOrder(
-                "need series order %d for %d rows, have %d" % (n, size, self.order))
+                "need series orders %d (f) and %d (g) for %d rows, have %d and %d"
+                % (n, n - 1, size, self.f.order, self.g.order))
         col = self.f
         rows = [[0] * (k + 1) for k in range(size)]
         for m in range(size):

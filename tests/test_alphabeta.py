@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from riordan_lab import cli, flow
+from riordan_lab import alphabeta, cli, flow
 from riordan_lab.alphabeta import (_apply_factor, _flow_column,
                                    _substitute_factor, alpha_series,
                                    alpha_weights, beta_series,
@@ -19,8 +19,9 @@ from riordan_lab.alphabeta import (_apply_factor, _flow_column,
                                    derivative_relations_report,
                                    factor_column_gf, factor_series,
                                    family_alpha, family_beta,
-                                   family_inverse_check, from_alpha,
-                                   from_beta, inverse_weights_check,
+                                   family_inverse_check, flow_triangle,
+                                   from_alpha, from_beta,
+                                   inverse_weights_check,
                                    involution_split_check, lagrange_pair_check,
                                    log_generator,
                                    log_generator_equation_check,
@@ -31,7 +32,7 @@ from riordan_lab.alphabeta import (_apply_factor, _flow_column,
                                    split_identity_check, substitution_matrix,
                                    substitution_power, substitution_power_lie,
                                    weights_to_series)
-from riordan_lab.errors import NotPseudoInvolution
+from riordan_lab.errors import InsufficientOrder, NotPseudoInvolution
 from riordan_lab.riordan import RiordanPair, TriMatrix
 from riordan_lab.series import Poly, Series, binom_param
 
@@ -239,6 +240,37 @@ def test_generator_routes():
         for n in range(1, 8):
             assert s_omega_poly(om, n - 1, Fraction(1)) == \
                 composition_poly(g, n)
+
+
+def test_composition_poly_is_the_reindexed_bell_row():
+    # [x^n] of the flow image of x is c_(n-1) of the Bell member g/x
+    for g in (_cat(), _rnd(), _mob(), _rna(), _two_factor()):
+        assert composition_poly(g, 0) == 0
+        for n in range(1, g.order + 1):
+            assert composition_poly(g, n) == \
+                flow.c_poly(g.div_x(1), n - 1, "t"), n
+    with pytest.raises(InsufficientOrder):
+        flow_triangle(log_generator(_rnd().truncate(4)), 5)
+
+
+def test_flows_take_the_generator_of_g_truncated_to_the_rows(monkeypatch):
+    seen = []
+
+    def spy(g):
+        seen.append(g.order)
+        return log_generator(g)
+
+    monkeypatch.setattr(alphabeta, "log_generator", spy)
+    monkeypatch.setattr(flow, "log_generator", spy)
+    g = _rnd()
+    bell = g.div_x(1)
+    for n in range(1, 6):
+        seen.clear()
+        composition_poly(g, n)
+        flow.c_poly(bell, n - 1)
+        flow.l_matrix(bell, n)
+        flow.flow_parity_check(bell, n)
+        assert seen == [n] * 4, n
 
 
 def test_moebius_generator_is_x_squared():

@@ -56,6 +56,15 @@ def test_lattice_path_log_is_the_geometric_triangle():
     assert F.l_matrix_via_log_powers(r, 11) == F.l_matrix(r, 11)
 
 
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 12])
+def test_flow_triangle_matches_the_dense_log_powers(size):
+    dense = Series([1, Fraction(1, 2), -3, 0, 2, Fraction(-1, 9), 4, 1, -2,
+                    Fraction(5, 3), 0, 7, -1], N)
+    sparse = Series([1, 0, 0, -2] + [0] * 8 + [3], N)
+    for g in (dense, sparse, dense.truncate(max(size - 1, 0))):
+        assert F.l_matrix(g, size) == F.l_matrix_via_log_powers(g, size)
+
+
 def test_lattice_path_powers():
     r = B.rna_series(1, N)
     for phi in (1, 3, Fraction(1, 2), Fraction(-5, 3)):

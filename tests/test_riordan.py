@@ -138,6 +138,20 @@ def test_pair_matrix_matches_untruncated_column_products(size):
         RiordanPair(Series.one(size - 1), Series.one(size)).matrix(size + 1)
 
 
+@pytest.mark.parametrize("size", [2, 3, 7, 10])
+def test_pair_matrix_reads_g_one_order_below_f(size):
+    f = Series([2, -1, Fraction(1, 3), 0, 5, 1, -2, 4, Fraction(-7, 2), 1], 9)
+    g = Series([1, 3, 0, Fraction(-1, 2), 2, 0, 1, -1, 6, Fraction(2, 5)], 9)
+    want = RiordanPair(f, g).matrix(size)
+    short = RiordanPair(f.truncate(size - 1), g.truncate(size - 2))
+    assert short.matrix(size) == want
+    for f_order, g_order in ((size - 1, size - 3), (size - 2, size - 1)):
+        if min(f_order, g_order) < 0:
+            continue
+        with pytest.raises(InsufficientOrder):
+            RiordanPair(f.truncate(f_order), g.truncate(g_order)).matrix(size)
+
+
 def test_pair_rejects_zero_constant_terms():
     for f, g in ((Series.x(3), Series.one(3)), (Series.one(3), Series.x(3))):
         with pytest.raises(BadConstantTerm):
