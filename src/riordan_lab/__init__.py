@@ -12,9 +12,9 @@ front end (`cli`).
 Everything is computed with ``fractions.Fraction``; no floats, ever.
 """
 
-from .errors import (BadConstantTerm, InsufficientOrder, NonzeroConstant,
-                     NotNormalized, NotPseudoInvolution, NotReversible,
-                     ParseError, RiordanError)
+from .errors import (BadArgument, BadConstantTerm, InsufficientOrder,
+                     NonzeroConstant, NotNormalized, NotPseudoInvolution,
+                     NotReversible, ParseError, RiordanError)
 from .exprs import parse, series_from_text, to_text
 from .pseudo import (b_expansion, b_from_g, g_from_b, sqrt_decompose,
                      SqrtDecomposition)
@@ -24,7 +24,7 @@ from .series import Poly, Series
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadConstantTerm", "InsufficientOrder", "NonzeroConstant",
+    "BadArgument", "BadConstantTerm", "InsufficientOrder", "NonzeroConstant",
     "NotNormalized", "NotPseudoInvolution", "NotReversible", "ParseError",
     "RiordanError", "Poly", "Series", "RiordanPair", "TriMatrix",
     "SqrtDecomposition", "b_expansion", "b_from_g", "g_from_b",

@@ -38,6 +38,11 @@ class NotNormalized(RiordanError):
     """Expected a series of the shape x + c2*x^2 + ... (g0 = 0, g1 = 1)."""
 
 
+class BadArgument(RiordanError):
+    """A scalar argument lies outside the operation's range: a negative
+    index or count, or a symbolic value where a rational one is needed."""
+
+
 class ParseError(Exception):
     """Raised by the expression parser; carries the byte offset and the set
     of token kinds that would have been acceptable at that point."""

@@ -32,7 +32,7 @@ from typing import List
 
 from .alphabeta import (flow_triangle, log_generator, s_omega_poly,
                         substitution_power)
-from .errors import BadConstantTerm, InsufficientOrder
+from .errors import BadArgument, BadConstantTerm, InsufficientOrder
 from .riordan import RiordanPair, TriMatrix
 from .series import Coeff, Poly, Series
 
@@ -143,7 +143,10 @@ def c_beta_poly_formula(b_fun: Series, n: int, beta: Coeff,
     """c_n(beta, phi) = [x^n] (g^(phi))^beta for a rational beta, the prefix
     products starting from beta instead of 1: ``s_omega_poly`` of the
     generator at z = beta, t = phi."""
-    assert n >= 0
+    if n < 0:
+        raise BadArgument("coefficient index n must be nonnegative, got %d" % n)
+    if isinstance(beta, Poly):
+        raise BadArgument("beta must be rational, got the polynomial %s" % beta)
     if b_fun.order < n - 1:
         raise InsufficientOrder("need %d generator coefficients" % n)
     return s_omega_poly([b_fun.coeff(k) for k in range(n)], n, beta,

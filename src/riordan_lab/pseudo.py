@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .combinat import odd_partitions
-from .errors import InsufficientOrder, NotPseudoInvolution
+from .errors import BadArgument, InsufficientOrder, NotPseudoInvolution
 from .riordan import RiordanPair
 from .series import Coeff, Poly, Series, falling_factorial
 
@@ -111,7 +111,10 @@ def b_from_g(g: Series) -> Series:
 @dataclass(frozen=True)
 class SqrtDecomposition:
     """Factorization data: g = sqrt_g**2, h = sqrt_g(revert(x*sqrt_g)),
-    and s = (h - 1/h)/2, which is odd exactly for pseudo-involutions."""
+    and s = (h - 1/h)/2, which is odd exactly for pseudo-involutions.
+
+    h is computed as the reciprocal x/revert(x*sqrt_g), the same series
+    (see ``sqrt_decompose``)."""
 
     sqrt_g: Series
     h: Series
@@ -126,11 +129,17 @@ class SqrtDecomposition:
 
 def sqrt_decompose(g: Series) -> SqrtDecomposition:
     """Split (1, xg) into the Bell square root (1, x*sqrt(g)) and its
-    cofactor (1, xh); requires the input to be a pseudo-involution."""
+    cofactor (1, xh); requires the input to be a pseudo-involution.
+
+    With r = sqrt(g) and wbar the reversion of x*r, wbar*r(wbar) = x, so
+    h = r(wbar) is the reciprocal of hinv = wbar/x and s = (h - hinv)/2:
+    one reversion and one reciprocal, no composition.
+    """
     r = g.sqrt()
-    w = r.x_mul(1)
-    h = r.compose(w.revert().truncate(r.order))
-    s = (h - h.inverse()) / 2
+    hinv = r.x_mul(1).revert().div_x(1)
+    h = hinv.inverse()
+    h = Series((r.constant,) + h.coeffs[1:], h.order)   # h(0) = r(0), the int 1
+    s = (h - hinv) / 2
     for m in range(0, s.order + 1, 2):
         if s.coeff(m) != 0:
             raise NotPseudoInvolution(
@@ -187,7 +196,8 @@ def b_expansion_monomials(n: int) -> dict[tuple[int, ...], Fraction]:
 def arcsinh_row_poly(q: int, param: str = "x") -> Poly:
     """Row q of the exponential array (1, log(x + sqrt(1+x^2))):
     the closed product x * (x+q-2) * (x+q-4) * ... * (x-q+2)."""
-    assert q >= 0
+    if q < 0:
+        raise BadArgument("row index q must be nonnegative, got %d" % q)
     if q == 0:
         return Poly.const(param, 1)
     x = Poly.var(param)
@@ -203,7 +213,8 @@ def arcsinh_row_poly(q: int, param: str = "x") -> Poly:
 
 def example6_series(m: int, order: int) -> Series:
     """g with coefficients (2m+1)/(2m+1+(m+1)n) * C(2m+1+(m+1)n, n)."""
-    assert m >= 0
+    if m < 0:
+        raise BadArgument("family index m must be nonnegative, got %d" % m)
     cs = []
     for n in range(order + 1):
         top = 2 * m + 1 + (m + 1) * n

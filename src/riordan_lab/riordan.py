@@ -17,7 +17,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
 
-from .errors import BadConstantTerm, InsufficientOrder, NotPseudoInvolution
+from .errors import (BadArgument, BadConstantTerm, InsufficientOrder,
+                     NotPseudoInvolution)
 from .series import Coeff, Poly, Series
 
 __all__ = [
@@ -249,11 +250,19 @@ class RiordanPair:
         return RiordanPair(f1 * b_of, g1 * a_of)
 
     def inv(self) -> "RiordanPair":
-        """Group inverse: (f, F)^{-1} = (1/f(revert F), revert F)."""
+        """Group inverse: (f, F)^{-1} = (1/f(revert F), revert F).
+
+        With F = x*g and gbar = revert(F)/x, F(revert F) = x gives
+        g(revert F) = 1/gbar.  So when f agrees with g through the pair's
+        order (every Bell pair (g, xg)) the inverse is (gbar, x*gbar), with
+        no composition; any other f is composed with revert F.
+        """
         n = self.order
         w = self.g.truncate(n).x_mul(1)       # F = x*g, order n+1
         wbar = w.revert()
         gbar = wbar.div_x(1)                  # order n
+        if self.f.agrees(self.g, n):
+            return RiordanPair(gbar, gbar)
         f_at = self.f.truncate(n).compose(wbar.truncate(n))
         return RiordanPair(f_at.inverse(), gbar)
 
@@ -293,8 +302,11 @@ def a_sequence(g: Series) -> Series:
 
 def conv_polys(g: Series, count: int, param: str = "z") -> list[Poly]:
     """Convolution polynomials: l_n(z) = [x^n] g(x)**z, as Polys in z."""
-    assert g.constant == 1, "convolution polynomials need g(0) = 1"
-    assert count >= 1
+    if g.constant != 1:
+        raise BadConstantTerm("convolution polynomials need g(0) = 1, got %r"
+                              % (g.constant,))
+    if count < 1:
+        raise BadArgument("need at least one polynomial, got count %d" % count)
     if count - 1 > g.order:
         raise InsufficientOrder("need order %d, have %d" % (count - 1, g.order))
     gz = g.truncate(count - 1).pow_param(param)

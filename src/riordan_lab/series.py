@@ -17,6 +17,7 @@ lowers it; neither invents coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import BadConstantTerm, InsufficientOrder, NonzeroConstant, NotReversible
@@ -474,20 +475,39 @@ class Series:
         return out
 
     def revert(self) -> "Series":
-        """Compositional inverse of a series x*(unit); Lagrange inversion."""
+        """Compositional inverse v of a series w = x*(unit), so w(v) = x.
+
+        Solved one coefficient at a time: [x^n] w(v) = sum_k w_k [x^n] v^k
+        reads v_n only through k = 1, so
+
+            v_n = (delta_(n,1) - sum_(k=2..n) w_k [x^n] v^k) / w_1.
+
+        The coefficient lists of v^2 .. v^K, with K the last index where
+        w_k != 0, grow by one coefficient each per step: about order^3/6
+        coefficient products, and no series product.
+        """
         if not _is_zero(self.coeffs[0]):
             raise NotReversible("constant term must be zero")
         c1 = self.coeffs[1] if self.order >= 1 else 0
         if _is_zero(c1):
             raise NotReversible("coefficient of x must be invertible")
-        u = self.div_x(1)            # unit with u0 = c1
-        w = u.inverse()
-        out: list[Coeff] = [0]
-        p = Series.one(w.order)
-        for n in range(1, self.order + 1):
-            p = p * w                # p = u^(-n)
-            out.append(p.coeff(n - 1) / Fraction(n))
-        return Series(out, self.order)
+        w = self.coeffs
+        top = max((k for k in range(2, self.order + 1) if not _is_zero(w[k])),
+                  default=1)
+        inv1 = _invert_coeff(c1)
+        v: list[Coeff] = [inv1]          # v[i] = [x^(i+1)] of the reversion
+        # pw[k][j] = [x^(k+j)] of its k-th power; pw[1] is v itself
+        pw: list[list[Coeff]] = [[], v] + [[] for _ in range(top - 1)]
+        for n in range(2, self.order + 1):
+            acc: Coeff = 0
+            for k in range(2, min(n, top) + 1):
+                j = n - k
+                pk = pw[k]
+                pk.append(sum(map(mul, v, pw[k - 1][j::-1])))
+                if not (_is_zero(w[k]) or _is_zero(pk[j])):
+                    acc = acc + w[k] * pk[j]
+            v.append(-acc * inv1)
+        return Series([0] + v, self.order)
 
     # analytic-style operations (still exact) --------------------------------
 

@@ -12,6 +12,7 @@ import pytest
 from riordan_lab import bcomp
 from riordan_lab.alphabeta import alpha_weights, beta_weights
 from riordan_lab.cli import main, run
+from riordan_lab.errors import RiordanError
 from riordan_lab.exprs import series_from_text
 from riordan_lab.pseudo import b_from_g
 from riordan_lab.riordan import (TriMatrix, matrix_from_json_dict,
@@ -224,11 +225,41 @@ DOMAIN_ERROR_INPUTS = (
 )
 
 
+# Library calls with out-of-range arguments: each raises a typed error,
+# also under -O, where an assert would be skipped.
+API_DOMAIN_ERRORS = (
+    ("flow.c_beta_poly_formula(Series([1, 2], 3), -1, 1)", "BadArgument"),
+    ("flow.c_beta_poly_formula(Series([1, 2], 3), 2, Poly.var('beta'))",
+     "BadArgument"),
+    ("pseudo.arcsinh_row_poly(-1)", "BadArgument"),
+    ("pseudo.example6_series(-1, 3)", "BadArgument"),
+    ("riordan.conv_polys(Series([2, 1], 3), 2)", "BadConstantTerm"),
+    ("riordan.conv_polys(Series([1, 1], 3), 0)", "BadArgument"),
+)
+API_PRELUDE = ("from riordan_lab import flow, pseudo, riordan\n"
+               "from riordan_lab.series import Poly, Series\n")
+API_SCRIPT = API_PRELUDE + """
+for call in %r:
+    try:
+        eval(call)
+    except Exception as exc:
+        print(type(exc).__name__)
+    else:
+        print('no error')
+""" % ([call for call, _ in API_DOMAIN_ERRORS],)
+
+
 def test_reachable_asserts_are_domain_errors():
     for argv, name in DOMAIN_ERROR_INPUTS:
         result = run(argv)
         assert result.exit_code == 3, argv
         assert result.output.startswith(name), result.output
+    scope = {}
+    exec(API_PRELUDE, scope)
+    for call, name in API_DOMAIN_ERRORS:
+        with pytest.raises(RiordanError) as info:
+            eval(call, scope)
+        assert type(info.value).__name__ == name, call
 
 
 @pytest.mark.parametrize("opt", [[], ["-O"]], ids=["plain", "optimize"])
@@ -243,6 +274,10 @@ def test_domain_errors_exit_three_in_a_fresh_process(opt):
         assert proc.returncode == 3, (argv, proc.stderr)
         assert proc.stdout == ""
         assert proc.stderr.startswith(name), proc.stderr
+    proc = subprocess.run([sys.executable] + opt + ["-c", API_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [name for _, name in API_DOMAIN_ERRORS]
 
 
 def test_usage_errors_exit_two():

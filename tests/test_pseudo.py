@@ -138,6 +138,48 @@ def test_decomposition_rejects_non_members():
         sqrt_decompose(Series.catalan(10))
 
 
+def _members():
+    """Pseudo-involutions from dense, gapped and constant B, and g = 1."""
+    return [g_from_b(Series([1, -2, Fraction(3, 4), 5, Fraction(-1, 3), 2,
+                             7], 6), Fraction(2, 3), 13),
+            g_from_b(Series([0, 1], 4), 1, 9),       # g lives on x^(3k)
+            g_from_b(Series([2], 6), Fraction(-5, 7), 12),
+            g_from_b(Series([0, 0, Fraction(1, 2)], 7), -3, 15),
+            Series.one(5)]
+
+
+def test_member_round_trip_uses_no_composition(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("composition called in the member round trip")
+
+    members = _members()
+    with monkeypatch.context() as patch:
+        patch.setattr(Series, "compose", refuse)
+        runs = [(sqrt_decompose(g), RiordanPair(g, g).inv(),
+                 RiordanPair(g, g).is_pseudo_involution()) for g in members]
+    for g, (d, inv, ok) in zip(members, runs):
+        one = Series.one(g.order)
+        assert ok
+        assert repr(d.h.coeffs[0]) == "1"
+        assert d.sqrt_g ** 2 == g
+        assert d.h * d.h.alternate() == one
+        # (1, x sqrt g)(1, xh) = (1, xg), through the composing product
+        assert RiordanPair(one, d.sqrt_g) * RiordanPair(one, d.h) == \
+            RiordanPair(one, g)
+        size = g.order + 1
+        assert inv.matrix(size) == RiordanPair(g, g).matrix(size).inverse()
+        assert inv == RiordanPair(g.alternate(), g.alternate())
+
+
+def test_general_pair_inverse_still_composes():
+    c = Series.catalan(9)
+    bumped = Series(list(c.coeffs[:-1]) + [c.coeffs[-1] + 1], 9)
+    for f, g in ((Series([1, 1], 9), c), (bumped, c), (c, bumped),
+                 (Series([2, 0, -1, Fraction(1, 3)], 9), Series.geometric(9, 2))):
+        pair = RiordanPair(f, g)
+        assert pair.inv().matrix(10) == pair.matrix(10).inverse()
+
+
 # ---------------------------------------------------------------------------
 # the coefficient expansion in the scale parameter
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Series and Poly arithmetic, directed cases plus algebraic properties."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -234,6 +235,77 @@ def test_known_reversion():
     # revert(x / (1 - x)) = x / (1 + x)
     g = Series.geometric(5, 1).x_mul(1).truncate(6)
     assert g.revert() == Series([0, 1, -1, 1, -1, 1, -1], 6)
+
+
+def _lagrange_revert(w):
+    """Reversion by Lagrange inversion: [x^n] revert(w) is
+    [x^(n-1)] (w/x)^(-n) / n."""
+    c1 = w.coeffs[1] if w.order >= 1 else 0
+    if w.coeffs[0] != 0 or c1 == 0:
+        raise NotReversible("not of the form x*(unit)")
+    inv = w.div_x(1).inverse()
+    out = [0]
+    p = Series.one(inv.order)
+    for n in range(1, w.order + 1):
+        p = p * inv
+        out.append(p.coeff(n - 1) / Fraction(n))
+    return Series(out, w.order)
+
+
+def _reversion_inputs(order, rng):
+    """x*(unit) series of the given order: dense with a non-unit slope,
+    sparse, dense with slope 1, and four with Poly coefficients."""
+    def rnd():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+    def rnd_poly():
+        return Poly("t", [rnd(), rng.randint(-2, 2)])
+
+    cases = {
+        "slope": [0, Fraction(-3, 2)] + [rnd() for _ in range(order - 1)],
+        "sparse": [0, 1] + [rnd() if k % 3 == 0 else 0
+                            for k in range(2, order + 1)],
+        "dense": [0, 1] + [rnd() for _ in range(order - 1)],
+        "poly": [0, 1] + [rnd_poly() for _ in range(order - 1)],
+        "poly_gapped": [0, Fraction(2, 3)] + [rnd_poly() if k % 3 == 0 else 0
+                                              for k in range(2, order + 1)],
+        "poly_mixed": [0, 1] + [rnd_poly() if k % 2 == 0 else rnd()
+                                for k in range(2, order + 1)],
+        "poly_constant_slope": [0, Poly.const("t", 3)] + [
+            rnd_poly() for _ in range(order - 1)],
+    }
+    return {name: Series(cs[:order + 1], order) for name, cs in cases.items()}
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 8, 20])
+def test_revert_matches_lagrange_inversion(order):
+    rng = random.Random(order)
+    for name, w in _reversion_inputs(order, rng).items():
+        if order == 0:
+            for fn in (_lagrange_revert, Series.revert):
+                with pytest.raises(NotReversible):
+                    fn(w)
+            continue
+        want, got = _lagrange_revert(w), w.revert()
+        assert got == want, name
+        assert repr(got) == repr(want), name
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 12])
+def test_revert_matches_sympy(order):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.ring_series import rs_series_reversion
+    ring, x, y = sympy.polys.rings.ring("x, y", sympy.QQ)
+    rng = random.Random(100 + order)
+    for name, w in _reversion_inputs(order, rng).items():
+        if name.startswith("poly"):
+            continue
+        p = sum((sympy.QQ(c.numerator, c.denominator) * x ** k
+                 for k, c in enumerate(map(Fraction, w.coeffs))), ring(0))
+        r = rs_series_reversion(p, x, order + 1, y)
+        want = [Fraction(int(c.numerator), int(c.denominator))
+                for c in (r.coeff(y ** k) for k in range(order + 1))]
+        assert list(w.revert().coeffs) == want, name
 
 
 # ---------------------------------------------------------------------------
