@@ -7,21 +7,24 @@ its coefficients into a lower-triangular array gives the matrix ``<B>``
 built here by :func:`u_matrix`.  The entry in row n, column m has the
 closed form
 
-    u_{n,m} = falling((n+m)/2, m-1) *
-              sum over partitions of n into m odd parts, with part i
-              occurring m_i times, of  prod_i b_i^{m_i} / m_i!
+    u_{n,m} = falling((n+m)/2, m-1) * W_2(n, m),
 
-which :func:`u_entry` implements directly.  The partition sum collapses to
+    W_2(n, m) = sum over partitions of n into m odd parts, part 2i+1
+                occurring m_i times, of  prod_i b_i^{m_i} / m_i!,
+
+which :func:`u_entry` implements directly through the weight sum
+``combinat.weight_sum`` that ``pseudo.b_expansion`` and
+:func:`exp_pair_entry_partitions` share.  The partition sum collapses to
 the convolution values s_j(m) = [x^j] B(x)^m, the entries of the matrix
 (1, xB(x)):
 
     u_{n,m} = falling((n+m)/2, m-1) / m! * s_{(n-m)/2}(m),
 
-so :func:`u_matrix`, :func:`u_poly` and the power polynomials read every
-entry off one table of truncated B-powers (:func:`b_powers`) in O(N^3)
-coefficient products.  ``u_entry`` stays as the closed form that ``verify``
-and the tests compare against, and the fixed-point route in
-``pseudo.g_from_b`` checks both.
+so :func:`u_matrix`, :func:`u_poly` and :func:`u_beta_poly` read every
+entry off one table of truncated B-powers (:func:`b_powers`) through one
+entry formula, in O(N^3) coefficient products.  ``u_entry`` stays as the
+closed form that ``verify`` and the tests compare against, and the
+fixed-point route in ``pseudo.g_from_b`` checks both.
 
 Three families with closed forms are provided alongside the generic
 machinery: the lattice-path matrix R for B = 1/(1-x) (whose rising
@@ -36,8 +39,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Union
 
-from .combinat import catalan_number, odd_partitions, partitions
-from .errors import InsufficientOrder
+from .combinat import catalan_number, weight_sum
+from .errors import BadArgument, InsufficientOrder
 from .riordan import RiordanPair, TriMatrix, col_gf, diag_down_gf, diag_up_poly
 from .series import Coeff, Poly, Series, falling_factorial
 
@@ -56,10 +59,12 @@ def _binom(top: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 def u_entry(b_fun: Series, n: int, m: int) -> Coeff:
-    """Entry (n, m) of the triangle of B-composition polynomials, as the
-    closed-form sum over partitions of n into m odd parts (the claim under
-    test; :func:`u_matrix` computes the same entries from B-powers)."""
-    assert n >= 0 and m >= 0
+    """Entry (n, m) of the triangle of B-composition polynomials by the
+    closed form falling((n+m)/2, m-1) * W_2(n, m), W_2 the weight sum over
+    partitions of n into m odd parts (the claim under test; :func:`u_matrix`
+    computes the same entries from B-powers)."""
+    if n < 0 or m < 0:
+        raise BadArgument("entry indices must be nonnegative, got (%d, %d)" % (n, m))
     if m > n:
         return 0
     if n == 0:
@@ -70,14 +75,7 @@ def u_entry(b_fun: Series, n: int, m: int) -> Coeff:
         raise InsufficientOrder(
             "need b-coefficients through index %d, have %d"
             % ((n - 1) // 2, b_fun.order))
-    total: Coeff = 0
-    for part in odd_partitions(n, parts=m):
-        # mults[i] counts the part 2i+1, which contributes the coefficient b_i
-        w: Coeff = Fraction(1)
-        for i, mult in enumerate(part.mults):
-            if mult:
-                w = w * Fraction(1, factorial(mult)) * b_fun.coeff(i) ** mult
-        total = total + w
+    total = weight_sum(b_fun, n, m, 2)
     if total == 0:
         return 0
     return falling_factorial((n + m) // 2, m - 1) * total
@@ -91,7 +89,8 @@ def b_powers(b_fun: Series, top: int) -> List[Series]:
     0..top of the triangle read, so one table serves a whole triangle.
     Building it costs O(top^3) coefficient products.
     """
-    assert top >= 0
+    if top < 0:
+        raise BadArgument("top row index must be nonnegative, got %d" % top)
     need = (top - 1) // 2
     if b_fun.order < need:
         raise InsufficientOrder(
@@ -104,9 +103,10 @@ def b_powers(b_fun: Series, top: int) -> List[Series]:
     return powers
 
 
-def _table_entry(powers: List[Series], n: int, m: int) -> Coeff:
-    """Entry (n, m), m <= n, of the triangle from a table of B-powers:
-    falling((n+m)/2, m-1) / m! * s_{(n-m)/2}(m)."""
+def _table_entry(powers: List[Series], n: int, m: int, beta: Coeff) -> Coeff:
+    """Coefficient of phi^m in [x^n] (g[phi])^beta, m <= n, from a table of
+    B-powers: beta * falling(beta + (n+m)/2 - 1, m-1) / m! * s_{(n-m)/2}(m).
+    At beta = 1 it is entry (n, m) of the triangle."""
     if m == 0:
         return 1 if n == 0 else 0
     if (n - m) % 2 != 0:
@@ -114,21 +114,22 @@ def _table_entry(powers: List[Series], n: int, m: int) -> Coeff:
     s_val = powers[m].coeff((n - m) // 2)
     if s_val == 0:
         return 0
-    return Fraction(falling_factorial((n + m) // 2, m - 1), factorial(m)) * s_val
+    term = beta * falling_factorial(beta + (n + m) // 2 - 1, m - 1)
+    return term * Fraction(1, factorial(m)) * s_val
 
 
 def u_poly(b_fun: Series, n: int, param: str = "x") -> Poly:
     """Row n of the triangle as a polynomial."""
-    powers = b_powers(b_fun, n)
-    return Poly(param, [_table_entry(powers, n, m) for m in range(n + 1)])
+    return u_beta_poly(b_fun, n, 1, param)
 
 
 def u_matrix(b_fun: Series, size: int) -> TriMatrix:
     """First `size` rows of the triangle of B-composition polynomials,
     read off one table of B-powers."""
-    assert size >= 1
+    if size < 1:
+        raise BadArgument("need at least one row, got size %d" % size)
     powers = b_powers(b_fun, size - 1)
-    return TriMatrix([[_table_entry(powers, n, m) for m in range(n + 1)]
+    return TriMatrix([[_table_entry(powers, n, m, 1) for m in range(n + 1)]
                       for n in range(size)])
 
 
@@ -139,7 +140,9 @@ def scale_entries(mat: TriMatrix, beta: Scalar) -> TriMatrix:
         new = list(row)
         for m in range(n + 1):
             if new[m] != 0:
-                assert (n - m) % 2 == 0, "parity violation in source matrix"
+                if (n - m) % 2 != 0:
+                    raise BadArgument("entry (%d, %d) breaks the parity pattern"
+                                      % (n, m))
                 new[m] = new[m] * beta ** ((n - m) // 2)
         rows.append(new)
     return TriMatrix(rows)
@@ -151,18 +154,8 @@ def u_beta_poly(b_fun: Series, n: int, beta: Coeff, param: str = "x") -> Poly:
     ``beta`` may be a number or a polynomial in some other parameter.  The
     coefficient of phi^m involves the convolution value s_j(m) = [x^j] B^m.
     """
-    assert n >= 0
-    if n == 0:
-        return Poly(param, [1])
     powers = b_powers(b_fun, n)
-    coeffs: List[Coeff] = [0] * (n + 1)
-    for m in range(2 - n % 2, n + 1, 2):
-        s_val = powers[m].coeff((n - m) // 2)
-        if s_val == 0:
-            continue
-        term = beta * falling_factorial(beta + (n + m) // 2 - 1, m - 1)
-        coeffs[m] = term * Fraction(1, factorial(m)) * s_val
-    return Poly(param, coeffs)
+    return Poly(param, [_table_entry(powers, n, m, beta) for m in range(n + 1)])
 
 
 def _times_linear(cs: List[int], a: int) -> List[int]:
@@ -180,7 +173,6 @@ def b_expansion_rows(b_fun: Series, top: int, param: str = "phi") -> List[Poly]:
     falling(phi + k, q + 1) = (phi + k) (phi + k - q) falling(phi + k - 1, q - 1),
     so all rows cost O(top^3) integer and coefficient products.
     """
-    assert top >= 0
     powers = b_powers(b_fun, top)
     rows = [Poly.const(param, 1)]
     for n in range(1, top + 1):
@@ -202,53 +194,37 @@ def b_expansion_rows(b_fun: Series, top: int, param: str = "phi") -> List[Poly]:
 def q_poly(g: Series, n: int, param: str = "z") -> Poly:
     """Convolution polynomial [x^n] g^z written through g's B-sequence."""
     from .pseudo import b_from_g
-    assert n >= 0
     return b_expansion_rows(b_from_g(g), n, param)[n]
 
 
-def exp_pair_entry(b_fun: Series, n: int, m: int) -> Coeff:
-    """Entry (n, m) of the exponential pair (1, x*B): n! * s_{n-m}(m) / m!."""
-    assert 0 <= m <= n
-    if n == 0:
-        return 1
-    if m == 0:
-        return 0
-    power = b_fun ** m
-    if power.order < n - m:
-        raise InsufficientOrder("b-function truncated too early")
-    return Fraction(factorial(n), factorial(m)) * power.coeff(n - m)
-
-
 def exp_pair_entry_partitions(b_fun: Series, n: int, m: int) -> Coeff:
-    """Same entry via a sum over partitions of n into m parts, each part p
+    """Entry (n, m) of the exponential pair (1, x*B), n! * s_{n-m}(m) / m!,
+    as n! * W_1(n, m): a sum over partitions of n into m parts, each part p
     contributing a factor b_{p-1}."""
-    assert 0 <= m <= n
+    if not 0 <= m <= n:
+        raise BadArgument("need 0 <= m <= n, got (%d, %d)" % (n, m))
     if n == 0:
         return 1
-    total: Coeff = 0
-    for part in partitions(n, parts=m):
-        mults: Dict[int, int] = {}
-        for p in part:
-            mults[p] = mults.get(p, 0) + 1
-        w: Coeff = 1
-        for p, mult in mults.items():
-            w = w * Fraction(1, factorial(mult)) * b_fun.coeff(p - 1) ** mult
-        total = total + w
-    return factorial(n) * total
+    return factorial(n) * weight_sum(b_fun, n, m, 1)
 
 
 def theorem9_check(b_fun: Series, size: int) -> bool:
     """Down-diagonals of <B> against the exponential pair (1, x*B).
 
     For every 0 <= m <= n < size the entry of <B> in row 2n - m, column m,
-    times (n - m + 1)!, must equal the exponential-pair entry (n, m).
+    times (n - m + 1)!, must equal the exponential-pair entry (n, m),
+    n!/m! * [x^(n-m)] B^m.  The pair's columns come from one running power
+    of B, not from the power table behind <B>; B(0) may vanish, so the pair
+    is not built as a ``RiordanPair``.
     """
     mat = u_matrix(b_fun, 2 * size - 1)
-    for n in range(size):
-        for m in range(n + 1):
+    power = Series.one(size - 1)                  # B^m
+    for m in range(size):
+        for n in range(m, size):
             lhs = mat.entry(2 * n - m, m) * factorial(n - m + 1)
-            if lhs != exp_pair_entry(b_fun, n, m):
+            if lhs != Fraction(factorial(n), factorial(m)) * power.coeff(n - m):
                 return False
+        power = power * b_fun
     return True
 
 

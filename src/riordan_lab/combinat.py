@@ -1,43 +1,61 @@
-"""Partition and composition enumerators used by the coefficient formulas.
+"""Partition and composition enumerators, and the one partition weight sum
+that the paper's closed forms share.
 
 All enumeration orders are deterministic: partitions are produced as
 non-decreasing part tuples in lexicographic order, compositions by length and
-then lexicographically.  Tests count them against an independent dynamic
+then lexicographically.  One recursion enumerates partitions into parts
+congruent to 1 modulo a step: step 1 gives all partitions, step 2 the odd
+ones, with nothing filtered.  Tests count them against an independent dynamic
 program, so the generators here stay simple and recursive.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from itertools import groupby
+from math import comb, factorial
 from typing import Iterator
 
 
 def partitions(n: int, parts: int | None = None) -> Iterator[tuple[int, ...]]:
     """Partitions of n as non-decreasing tuples; optionally exactly ``parts`` parts."""
     assert n >= 0
-    if parts is None:
-        yield from _parts_any(n, 1)
-    else:
-        yield from _parts_exact(n, parts, 1)
+    yield from _parts(n, parts, 1, 1)
 
 
-def _parts_any(n: int, lo: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
+def _parts(n: int, m: int | None, lo: int, step: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into parts lo, lo + step, lo + 2*step, ..., exactly m
+    of them (any number when m is None), as non-decreasing tuples in
+    lexicographic order."""
+    if n == 0 and not m:
         yield ()
         return
-    for first in range(lo, n + 1):
-        for rest in _parts_any(n - first, first):
-            yield (first,) + rest
-
-
-def _parts_exact(n: int, m: int, lo: int) -> Iterator[tuple[int, ...]]:
     if m == 0:
-        if n == 0:
-            yield ()
         return
-    for first in range(lo, n // m + 1):
-        for rest in _parts_exact(n - first, m - 1, first):
+    top, rest_m = (n, None) if m is None else (n // m, m - 1)
+    for first in range(lo, top + 1, step):
+        for rest in _parts(n - first, rest_m, first, step):
             yield (first,) + rest
+
+
+def weight_sum(b, n: int, parts: int, step: int):
+    """W(b, n, q; step): the sum, over the partitions of n into q = ``parts``
+    parts congruent to 1 modulo ``step``, of prod_p b_((p-1)/step)^(m_p) / m_p!,
+    where part p occurs m_p times.  ``bcomp.u_entry`` and
+    ``pseudo.b_expansion`` sum at step 2, ``bcomp.exp_pair_entry_partitions``
+    at step 1.
+
+    ``b`` is anything with a ``coeff(i)`` method, such as a Series; its
+    coefficients may be rationals or Polys.  The empty sum is the int 0.
+    """
+    total = 0
+    for tup in _parts(n, parts, 1, step):
+        w = Fraction(1)
+        for p, run in groupby(tup):
+            mult = sum(1 for _ in run)
+            w = w * Fraction(1, factorial(mult)) * b.coeff((p - 1) // step) ** mult
+        total = total + w
+    return total
 
 
 def compositions(n: int, parts: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -99,21 +117,16 @@ class OddPartition:
 def odd_partitions(n: int, parts: int | None = None) -> Iterator[OddPartition]:
     """Partitions of n into odd parts, optionally into exactly ``parts`` parts.
 
-    Multiplicity tuples always have length 1 + (n-1)//2 for n >= 1 so that
-    index i always addresses the part 2i+1.
+    Multiplicity tuples have length (n+1)//2, so that index i addresses the
+    part 2i+1.
     """
     assert n >= 0
-    if n == 0:
-        if parts in (None, 0):
-            yield OddPartition(())
-        return
-    width = (n - 1) // 2 + 1
-    for tup in partitions(n, parts):
-        if all(p % 2 == 1 for p in tup):
-            mults = [0] * width
-            for p in tup:
-                mults[(p - 1) // 2] += 1
-            yield OddPartition(tuple(mults))
+    width = (n + 1) // 2
+    for tup in _parts(n, parts, 1, 2):
+        mults = [0] * width
+        for p in tup:
+            mults[(p - 1) // 2] += 1
+        yield OddPartition(tuple(mults))
 
 
 def catalan_number(n: int) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .combinat import odd_partitions
+from .combinat import odd_partitions, weight_sum
 from .errors import BadArgument, InsufficientOrder, NotPseudoInvolution
 from .riordan import RiordanPair
 from .series import Coeff, Poly, Series, falling_factorial
@@ -78,7 +78,10 @@ def b_from_g(g: Series) -> Series:
 
     Raises :class:`NotPseudoInvolution` when no such B exists (the functional
     equation is overdetermined: every second coefficient is a consistency
-    condition, and all of them are checked).
+    condition, and all of them are checked).  b_k is the coefficient of
+    x^(2k+1) left once the terms b_j * x^(2j+1) * g^(j+1), j < k, are
+    subtracted from g - 1; one running product walks those terms, one
+    series product per coefficient after the first.
     """
     if g.constant != 1:
         raise NotPseudoInvolution("g(0) must be 1, got %r" % (g.constant,))
@@ -86,17 +89,17 @@ def b_from_g(g: Series) -> Series:
     if n < 1:
         raise InsufficientOrder("need at least order 1 to extract a B-sequence")
     kmax = (n - 1) // 2
-    xg = g.x_mul(1).truncate(n)
-    inner = g.x_mul(2).truncate(n)
-    power = Series.one(n)
+    term = g.x_mul(1).truncate(n)        # x^(2k+1) * g^(k+1), from k = 0
+    step = g.x_mul(2).truncate(n)
     residual = g - 1
     bs: list[Coeff] = []
     for k in range(kmax + 1):
         c = residual.coeff(2 * k + 1)
         bs.append(c)
         if c != 0:
-            residual = residual - (xg * power) * c
-        power = power * inner
+            residual = residual - term * c
+        if k < kmax:
+            term = term * step
     if not residual.is_zero():
         bad = residual.valuation()
         raise NotPseudoInvolution(
@@ -152,13 +155,17 @@ def sqrt_decompose(g: Series) -> SqrtDecomposition:
 # ─────────────────────────────────────────────────────────────────────────────
 
 def b_expansion(b_fun: Series, n: int, param: str = "phi") -> Poly:
-    """Coefficient of x^n in the B-scaled family, as a polynomial in the
-    scaling parameter, by the paper's closed form (the claim under test;
+    """[x^n] g^phi, g the phi = 1 member of B, as a polynomial in phi, by
+    the paper's closed form (the claim under test;
     ``bcomp.b_expansion_rows`` computes the same rows from B-powers).
 
-    Summed over partitions of n into odd parts 2i+1 with multiplicities m_i:
-    contribution  p * (p+k-1)*(p+k-2)*...*(p+k-q+1) / prod(m_i!) * prod(b_i**m_i)
-    with q parts in total and k = (n+q)/2.
+    Summed over the part counts q of the partitions of n into odd parts:
+
+        phi * (phi+k-1)*(phi+k-2)*...*(phi+k-q+1) * W_2(n, q),  k = (n+q)/2,
+
+    with W_2(n, q) = sum over those partitions of prod_i b_i^(m_i) / m_i!,
+    part 2i+1 occurring m_i times (``combinat.weight_sum`` at step 2).
+    B must have rational coefficients.
     """
     if n == 0:
         return Poly.const(param, 1)
@@ -167,14 +174,11 @@ def b_expansion(b_fun: Series, n: int, param: str = "phi") -> Poly:
         raise InsufficientOrder("need %d B coefficients, have %d" % (p + 1, b_fun.order + 1))
     phi = Poly.var(param)
     total = Poly(param)
-    for part in odd_partitions(n):
-        weight = Fraction(1)
-        for i, m in enumerate(part.mults):
-            if m:
-                weight *= Fraction(b_fun.coeff(i)) ** m / factorial(m)
-        if weight == 0:
-            continue
-        total = total + phi * falling_factorial(phi + (part.k - 1), part.q - 1) * weight
+    for q in range(2 - n % 2, n + 1, 2):
+        weight = weight_sum(b_fun, n, q, 2)
+        if weight != 0:
+            k = (n + q) // 2
+            total = total + phi * falling_factorial(phi + (k - 1), q - 1) * weight
     return total
 
 

@@ -448,7 +448,7 @@ class Series:
     def inverse(self) -> "Series":
         """Multiplicative inverse; the constant term must be invertible."""
         c0 = self.coeffs[0]
-        inv0 = _invert_coeff(c0)
+        inv0 = _invert_coeff(c0, BadConstantTerm)
         out: list[Coeff] = [inv0]
         for n in range(1, self.order + 1):
             acc: Coeff = 0
@@ -494,7 +494,7 @@ class Series:
         w = self.coeffs
         top = max((k for k in range(2, self.order + 1) if not _is_zero(w[k])),
                   default=1)
-        inv1 = _invert_coeff(c1)
+        inv1 = _invert_coeff(c1, NotReversible)
         v: list[Coeff] = [inv1]          # v[i] = [x^(i+1)] of the reversion
         # pw[k][j] = [x^(k+j)] of its k-th power; pw[1] is v itself
         pw: list[list[Coeff]] = [[], v] + [[] for _ in range(top - 1)]
@@ -596,12 +596,13 @@ class Series:
         return "%s + O(x^%d)" % (format_terms(self.coeffs, "x"), self.order + 1)
 
 
-def _invert_coeff(c0: Coeff) -> Coeff:
+def _invert_coeff(c0: Coeff, error: type) -> Coeff:
+    """1/c0 for the leading coefficient of an inverse or a reversion; a
+    non-constant Poly raises ``error``, a zero one ZeroDivisionError."""
     if isinstance(c0, Poly):
-        assert c0.is_constant(), "cannot invert a non-constant leading coefficient"
-        k = c0.constant()
-        assert k != 0
-        return Poly.const(c0.param, Fraction(1, 1) / Fraction(k))
+        if not c0.is_constant():
+            raise error("cannot invert the non-constant leading coefficient %s" % c0)
+        return Poly.const(c0.param, _invert_coeff(c0.constant(), error))
     if c0 == 0:
         raise ZeroDivisionError("constant term is zero")
     return Fraction(1, 1) / Fraction(c0)

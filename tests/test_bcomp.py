@@ -2,18 +2,20 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from riordan_lab import bcomp as B
+from riordan_lab import pseudo
+from riordan_lab.combinat import partitions
 from riordan_lab.errors import InsufficientOrder
 from riordan_lab.fixtures import load_matrix
 from riordan_lab.pseudo import b_expansion, g_from_b
 from riordan_lab.riordan import (RiordanPair, col_gf, diag_up_poly, row_poly)
-from riordan_lab.series import Poly, Series
+from riordan_lab.series import Poly, Series, falling_factorial
 
 bfun_lists = st.lists(st.integers(-3, 3), min_size=1, max_size=5)
 small_fracs = st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -246,7 +248,6 @@ def test_exponential_pair_entries_two_routes():
         em = RiordanPair(Series.one(9), bf).exp_matrix(10)
         for n in range(10):
             for m in range(n + 1):
-                assert B.exp_pair_entry(bf, n, m) == em.entry(n, m)
                 assert B.exp_pair_entry_partitions(bf, n, m) == em.entry(n, m)
 
 
@@ -346,3 +347,101 @@ def test_expansion_rows_match_partition_expansion(top):
             assert at_t == b_expansion(bt, n)
     with pytest.raises(InsufficientOrder):
         B.b_expansion_rows(Series([1], 0), 3)
+
+
+# ---------------------------------------------------------------------------
+# the partition closed forms against their per-partition loops
+# ---------------------------------------------------------------------------
+
+def _weight_loop(b_fun, n, m, odd):
+    """Sum over partitions of n into m parts (odd parts only if ``odd``) of
+    prod_p b_index(p)^mult / mult!, one partition at a time."""
+    total = 0
+    for part in partitions(n, m):
+        if odd and any(p % 2 == 0 for p in part):
+            continue
+        w = Fraction(1)
+        for p in sorted(set(part)):
+            mult = part.count(p)
+            index = (p - 1) // 2 if odd else p - 1
+            w = w * Fraction(1, factorial(mult)) * b_fun.coeff(index) ** mult
+        total = total + w
+    return total
+
+
+def _u_entry_loop(b_fun, n, m):
+    if m > n:
+        return 0
+    if n == 0:
+        return 1
+    if m == 0 or (n - m) % 2:
+        return 0
+    total = _weight_loop(b_fun, n, m, True)
+    if total == 0:
+        return 0
+    return falling_factorial((n + m) // 2, m - 1) * total
+
+
+def _b_expansion_loop(b_fun, n):
+    if n == 0:
+        return Poly.const("phi", 1)
+    phi = Poly.var("phi")
+    total = Poly("phi")
+    for q in range(1, n + 1):
+        for part in partitions(n, q):
+            if any(p % 2 == 0 for p in part):
+                continue
+            weight = Fraction(1)
+            for p in sorted(set(part)):
+                mult = part.count(p)
+                weight *= Fraction(b_fun.coeff((p - 1) // 2)) ** mult / factorial(mult)
+            if weight != 0:
+                k = (n + q) // 2
+                total = total + phi * falling_factorial(phi + (k - 1), q - 1) * weight
+    return total
+
+
+def _exp_pair_loop(b_fun, n, m):
+    if n == 0:
+        return 1
+    return factorial(n) * _weight_loop(b_fun, n, m, False)
+
+
+def _same(got, want):
+    return got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("order", [0, 1, 3, 5])
+def test_partition_closed_forms_match_their_loops(order):
+    *rational, symbolic = _oracle_bfuns(order)
+    for bf in rational + [symbolic]:
+        for n in range(2 * order + 3):
+            for m in range(n + 2):
+                assert _same(B.u_entry(bf, n, m), _u_entry_loop(bf, n, m))
+    for bf in rational:
+        for n in range(2 * order + 3):
+            assert _same(b_expansion(bf, n), _b_expansion_loop(bf, n))
+        for n in range(order + 2):
+            for m in range(n + 1):
+                assert _same(B.exp_pair_entry_partitions(bf, n, m),
+                             _exp_pair_loop(bf, n, m))
+
+
+def test_partition_closed_forms_share_one_weight_sum(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("weight sum")
+    monkeypatch.setattr(B, "weight_sum", broken)
+    monkeypatch.setattr(pseudo, "weight_sum", broken)
+    bf = Series([1, 2, 3], 2)
+    for call in (lambda: B.u_entry(bf, 5, 3), lambda: b_expansion(bf, 5),
+                 lambda: B.exp_pair_entry_partitions(bf, 3, 2)):
+        with pytest.raises(RuntimeError, match="weight sum"):
+            call()
+
+
+def test_theorem9_reads_no_power_of_b(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("Series power")
+    monkeypatch.setattr(Series, "__pow__", broken)
+    for bf in (Series.catalan(9), Series([0, 2, -1, 3], 9)):
+        assert B.theorem9_check(bf, 6)

@@ -235,8 +235,19 @@ API_DOMAIN_ERRORS = (
     ("pseudo.example6_series(-1, 3)", "BadArgument"),
     ("riordan.conv_polys(Series([2, 1], 3), 2)", "BadConstantTerm"),
     ("riordan.conv_polys(Series([1, 1], 3), 0)", "BadArgument"),
+    ("bcomp.u_entry(Series([1, 2], 3), -1, 0)", "BadArgument"),
+    ("bcomp.u_matrix(Series([1, 2], 3), 0)", "BadArgument"),
+    ("bcomp.b_powers(Series([1, 2], 3), -1)", "BadArgument"),
+    ("bcomp.b_expansion_rows(Series([1, 2], 3), -1)", "BadArgument"),
+    ("bcomp.u_poly(Series([1, 2], 3), -1)", "BadArgument"),
+    ("bcomp.u_beta_poly(Series([1, 2], 3), -1, 2)", "BadArgument"),
+    ("bcomp.q_poly(Series.geometric(4, 1), -1)", "BadArgument"),
+    ("bcomp.exp_pair_entry_partitions(Series([1, 2], 3), 1, 2)", "BadArgument"),
+    ("bcomp.scale_entries(riordan.TriMatrix([[1], [1, 1]]), 2)", "BadArgument"),
+    ("Series([Poly.var('t'), 1], 3).inverse()", "BadConstantTerm"),
+    ("Series([0, Poly.var('t'), 1], 3).revert()", "NotReversible"),
 )
-API_PRELUDE = ("from riordan_lab import flow, pseudo, riordan\n"
+API_PRELUDE = ("from riordan_lab import bcomp, flow, pseudo, riordan\n"
                "from riordan_lab.series import Poly, Series\n")
 API_SCRIPT = API_PRELUDE + """
 for call in %r:

@@ -102,6 +102,26 @@ def test_odd_partitions_with_part_count():
         assert got == parts
 
 
+def _odd_by_filter(n, parts=None):
+    """Odd partitions as a filter over all partitions produces them."""
+    if n == 0:
+        return [OddPartition(())] if parts in (None, 0) else []
+    out = []
+    for tup in partitions(n, parts):
+        if all(p % 2 == 1 for p in tup):
+            mults = [0] * ((n - 1) // 2 + 1)
+            for p in tup:
+                mults[(p - 1) // 2] += 1
+            out.append(OddPartition(tuple(mults)))
+    return out
+
+
+def test_odd_partitions_enumerate_the_filtered_sequence_in_order():
+    for n in range(21):
+        for parts in [None] + list(range(n + 2)):
+            assert list(odd_partitions(n, parts)) == _odd_by_filter(n, parts)
+
+
 def test_odd_partition_empty():
     assert list(odd_partitions(0)) == [OddPartition(())]
     assert OddPartition(()).n == 0 and OddPartition(()).q == 0

@@ -63,6 +63,66 @@ def test_extraction_rejects_non_members():
         b_from_g(Series.catalan(8))
 
 
+def _b_from_g_two_products(g):
+    """B-extraction with two series products per coefficient: x*g times a
+    running power of x^2*g, then that power times x^2*g."""
+    n = g.order
+    kmax = (n - 1) // 2
+    xg = g.x_mul(1).truncate(n)
+    inner = g.x_mul(2).truncate(n)
+    power = Series.one(n)
+    residual = g - 1
+    bs = []
+    for k in range(kmax + 1):
+        c = residual.coeff(2 * k + 1)
+        bs.append(c)
+        if c != 0:
+            residual = residual - (xg * power) * c
+        power = power * inner
+    if not residual.is_zero():
+        raise NotPseudoInvolution("fails first at x^%d" % residual.valuation())
+    return Series(bs, kmax)
+
+
+def _extraction_inputs():
+    rng = random.Random(17)
+    t = Poly.var("t")
+    for order in (1, 2, 7, 12, 17):
+        for phi in (1, Fraction(-2, 3), t):
+            cs = [rng.choice([0, 1, -2, Fraction(1, 2), Fraction(-3, 4)])
+                  for _ in range(order // 2 + 1)]
+            yield g_from_b(Series(cs, order // 2), phi, order)
+    yield g_from_b(Series([2, Fraction(1, 2), -1], 2), 1, 5) + Series.x(5) ** 5
+
+
+def test_extraction_makes_one_series_product_per_coefficient(monkeypatch):
+    inputs = list(_extraction_inputs())
+    want = [repr(_b_from_g_two_products(g)) for g in inputs]
+    mul = Series.__mul__
+    products = []
+
+    def spy(self, other):
+        if isinstance(other, Series):
+            products.append(1)
+        return mul(self, other)
+    monkeypatch.setattr(Series, "__mul__", spy)
+    for g, text in zip(inputs, want):
+        products.clear()
+        back = b_from_g(g)
+        assert len(products) == back.order      # none for b_0, one per b_k after
+        assert repr(back) == text
+    # a non-member names the first failing coefficient as before
+    member = g_from_b(Series([1, -2, Fraction(1, 3), 2], 4), 1, 9)
+    for k, g in ((4, member + Series.x(9) ** 4), (8, member - Series.x(9) ** 8),
+                 (2, Series.catalan(8))):
+        with pytest.raises(NotPseudoInvolution) as info:
+            b_from_g(g)
+        with pytest.raises(NotPseudoInvolution) as old:
+            _b_from_g_two_products(g)
+        assert str(info.value).endswith(" x^%d" % k)
+        assert str(old.value).endswith(" x^%d" % k)
+
+
 # ---------------------------------------------------------------------------
 # square-root factorization
 # ---------------------------------------------------------------------------

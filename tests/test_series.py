@@ -123,6 +123,8 @@ def test_inverse_multiplies_to_one(s):
 def test_inverse_needs_nonzero_constant():
     with pytest.raises(ZeroDivisionError):
         Series.x(4).inverse()
+    with pytest.raises(ZeroDivisionError):
+        Series([Poly("t"), 1], 4).inverse()
 
 
 @given(unit_series, st.integers(-3, 3))
@@ -229,6 +231,8 @@ def test_revert_with_non_unit_slope():
 def test_revert_needs_invertible_slope():
     with pytest.raises(NotReversible):
         Series([0, 0, 1], 4).revert()
+    with pytest.raises(NotReversible):
+        Series([0, Poly("t"), 1], 4).revert()
 
 
 def test_known_reversion():
