@@ -19,17 +19,11 @@ one-parameter flow (1, g)**t.  The coefficients of the flow image of x, as
 polynomials in t, form the flow triangle of omega (``flow_triangle``); the
 Bell flow of :mod:`riordan_lab.flow` is this flow reindexed.
 
-Beyond extraction and resummation the module packages relations between
-the systems as boolean check functions.  Reversion swaps the two systems
-and flips signs, and at t = 0 the t-derivatives of the deformed families
-(every weight scaled by t) are the weight series; these hold for every g.
-Three further checks state identities that hold only in degenerate cases
-(a single nonzero weight; for the split also t in {0, 1}) and are false
-for generic g: the split of g into the beta deformation at 1-t after the
-alpha deformation at t (first difference at x^6), the negated-weight
-product against the double inverse iterate (x^8), and the t = 1 tangents
-(x^6).  The checks test the identities exactly as stated and report False
-where they fail.
+The deformed families scale every weight by t.  The relations between
+the weight systems and the families (reversion swaps the two systems and
+flips signs; the split, negated-weight and t = 1 tangent identities,
+which hold only in degenerate cases) are stated and checked in
+:mod:`riordan_lab.verify`, not here.
 """
 from __future__ import annotations
 
@@ -39,7 +33,7 @@ from math import factorial
 from typing import Sequence
 
 from .combinat import compositions, partitions
-from .errors import InsufficientOrder, NotNormalized, NotPseudoInvolution
+from .errors import InsufficientOrder, NotNormalized
 from .riordan import RiordanPair, TriMatrix
 from .series import Coeff, Poly, Series
 
@@ -230,9 +224,9 @@ def beta_series(g: Series) -> Series:
 # generator and the flow powers are single columns of log(1, g) and of the
 # binomial power (1, g)**t.  Production streams that one column out of the
 # difference vectors (M - I)^k e_1 (``_flow_column``), O(n^3); the dense
-# TriMatrix.log / pow_binomial, O(n^4), stay as the oracle behind
-# log_structure_check and the tests.  The flow polynomials, all rows at once,
-# come from the generator by the Lie recursion (``flow_triangle``).
+# TriMatrix.log / pow_binomial, O(n^4), stay as the oracle in ``verify`` and
+# the tests.  The flow polynomials, all rows at once, come from the
+# generator by the Lie recursion (``flow_triangle``).
 
 def substitution_matrix(g: Series, size: int) -> TriMatrix:
     """Triangular matrix of (1, g): entry (n, m) = [x^n] g**m, the Riordan
@@ -298,24 +292,6 @@ def log_generator(g: Series) -> Series:
     _require_normalized(g)
     lg = _flow_column(substitution_matrix(g, g.order + 1), 1)
     return Series([0, 0] + lg[1:], g.order)
-
-
-def log_structure_check(g: Series) -> bool:
-    """Is every entry of log(1, g) the rescaled generator, (n, m) -> m * omega_{n-m}?"""
-    om = log_generator(g)
-    lg = substitution_matrix(g, g.order + 1).log()
-    for n in range(lg.size):
-        for m in range(n + 1):
-            want = m * om.coeff(n - m + 1) if n > m else 0
-            if lg.entry(n, m) != want:
-                return False
-    return True
-
-
-def log_generator_equation_check(g: Series) -> bool:
-    """Does omega(g(x)) = omega(x) * g'(x) hold through the stored order?"""
-    om = log_generator(g)
-    return om.compose(g).agrees(om * g.deriv(), g.order - 1)
 
 
 def substitution_power(g: Series, t: Coeff, order: int | None = None) -> Series:
@@ -476,7 +452,7 @@ def s_omega_poly(weights: Sequence[Coeff], n: int, z: Coeff = 1,
 
 
 # ─────────────────────────────────────────────────────────────────────────────
-# Deformed families and the identities connecting everything
+# Deformed families
 # ─────────────────────────────────────────────────────────────────────────────
 
 def family_alpha(g: Series, t: Coeff, order: int | None = None) -> Series:
@@ -493,106 +469,3 @@ def family_beta(g: Series, t: Coeff, order: int | None = None) -> Series:
     if n > g.order:
         raise InsufficientOrder("order %d exceeds input order %d" % (n, g.order))
     return from_beta([w * t for w in beta_weights(g)], n)
-
-
-def inverse_weights_check(g: Series) -> bool:
-    """Reversion exchanges the two weight systems and flips every sign."""
-    gbar = g.revert()
-    return (alpha_weights(gbar) == [-w for w in beta_weights(g)] and
-            beta_weights(gbar) == [-w for w in alpha_weights(g)])
-
-
-def family_inverse_check(g: Series, t: Coeff) -> bool:
-    """Reversion carries each deformed family onto the mirrored family of
-    the reverted series, at the same deformation parameter."""
-    gbar = g.revert()
-    return (family_alpha(g, t).revert() == family_beta(gbar, t) and
-            family_beta(g, t).revert() == family_alpha(gbar, t))
-
-
-def split_identity_check(g: Series, t: Coeff) -> bool:
-    """Does the beta deformation at 1-t, composed after the alpha
-    deformation at t, give back g through the stored order?
-
-    True for t in {0, 1}, and for a single nonzero weight, where both
-    deformations lie in one one-parameter subgroup and their weights add.
-    False for generic g: on the verify suite's samples the product agrees
-    with g through x^5 and first differs at x^6 or later, and for
-    g = w1^a(w2^c(x)) it exceeds g at x^6 by exactly t(1-t)/2 * a*c^2."""
-    return family_beta(g, 1 - t).compose(family_alpha(g, t)) == g
-
-
-def involution_split_check(g: Series) -> bool:
-    """Do both deformations at t = -1, composed, give the double inverse
-    iterate gbar(gbar(x)) (and, from the reverted series, g(g(x))), both as
-    compositions and as flow powers, through the stored order?
-
-    True for a single nonzero weight.  False for generic g: on the verify
-    suite's samples both products agree through x^7 and first differ at x^8
-    or later, and for g = w1^a(w2^c(x)) the product minus gbar(gbar(x)) is
-    zero below x^8 and exactly -a^3*c^2 at x^8."""
-    gbar = g.revert()
-    lhs = family_alpha(g, -1).compose(family_beta(g, -1))
-    if lhs != gbar.compose(gbar) or lhs != substitution_power(g, -2):
-        return False
-    lhs = family_alpha(gbar, -1).compose(family_beta(gbar, -1))
-    return lhs == g.compose(g) and lhs == substitution_power(g, 2)
-
-
-def lagrange_pair_check(weights: Sequence[Coeff], n: int) -> bool:
-    """The two ordered interpolations with negated weights are exchanged by
-    the substitution z -> -z-n up to the factor z/(z+n), in both directions."""
-    z = Poly.var("z")
-    shifted = Poly("z", (-n, -1))
-    neg = [-w for w in weights]
-    if z * s_alpha_poly(weights, n, shifted) != (z + n) * s_beta_poly(neg, n, z):
-        return False
-    return z * s_beta_poly(weights, n, shifted) == (z + n) * s_alpha_poly(neg, n, z)
-
-
-def derivative_relations_report(g: Series) -> dict[str, bool]:
-    """Flow-parameter derivatives of the deformed families, relation by
-    relation.
-
-    At t = 0 the families move along the weight series (negated weight
-    series for the reverted input); those four relations are exact.  The
-    claimed t = 1 tangents -- beta(g(x)) for the alpha family and
-    alpha(x) * g'(x) for the beta family -- depend on the generic split
-    identity and share its finite-order obstruction, so they hold only
-    through the order where the split identity itself holds.
-    """
-    t = Poly.var("t")
-    a_ser, b_ser = alpha_series(g), beta_series(g)
-    gbar = g.revert()
-
-    def d_at(series: Series, point: int) -> Series:
-        return series.map_coeffs(
-            lambda c: c.deriv()(point) if isinstance(c, Poly) else 0)
-
-    ga_t, gb_t = family_alpha(g, t), family_beta(g, t)
-    return {
-        "alpha_at_0": d_at(ga_t, 0) == a_ser,
-        "beta_at_0": d_at(gb_t, 0) == b_ser,
-        "inverse_alpha_at_0": d_at(family_alpha(gbar, t), 0) == -b_ser,
-        "inverse_beta_at_0": d_at(family_beta(gbar, t), 0) == -a_ser,
-        "alpha_at_1": d_at(ga_t, 1) == b_ser.compose(g),
-        "beta_at_1": d_at(gb_t, 1).agrees(a_ser * g.deriv(), g.order - 1),
-    }
-
-
-def derivative_relations_check(g: Series) -> bool:
-    """True when every relation in derivative_relations_report holds."""
-    return all(derivative_relations_report(g).values())
-
-
-def pseudo_involution_symmetry_check(g: Series) -> bool:
-    """For a series whose reversion is -g(-x), the generator must be an even
-    function and the beta weights the alternately-signed alpha weights."""
-    _require_normalized(g)
-    if g.revert() != -g.alternate():
-        raise NotPseudoInvolution("compositional inverse is not -g(-x)")
-    om = log_generator(g)
-    if om.alternate() != om:
-        return False
-    return beta_weights(g) == [w if k % 2 == 0 else -w
-                               for k, w in enumerate(alpha_weights(g))]

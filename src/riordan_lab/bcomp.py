@@ -24,24 +24,26 @@ so :func:`u_matrix`, :func:`u_poly` and :func:`u_beta_poly` read every
 entry off one table of truncated B-powers (:func:`b_powers`) through one
 entry formula, in O(N^3) coefficient products.  ``u_entry`` stays as the
 closed form that ``verify`` and the tests compare against, and the
-fixed-point route in ``pseudo.g_from_b`` checks both.
+fixed-point route in ``pseudo.g_from_b`` checks both.  The table reads
+only the B coefficients the rows need, so a longer B gives the same
+triangle.
 
 Three families with closed forms are provided alongside the generic
 machinery: the lattice-path matrix R for B = 1/(1-x) (whose rising
 diagonals carry the Narayana polynomials), the family for B = 1 + x, and
-the family for B = C(x) with C the Catalan series.  Row, column and
-diagonal generating functions of these triangles, and the polynomial
-ladders connecting them, are exposed as small check functions so each
-printed identity can be tested coefficient by coefficient.
+the family for B = C(x) with C the Catalan series.  This module holds the
+triangles and the closed forms only; the identities between them (row,
+column and diagonal generating functions, the polynomial ladders) are
+stated and checked in :mod:`riordan_lab.verify`.
 """
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Dict, List, Union
+from typing import List, Union
 
 from .combinat import catalan_number, weight_sum
 from .errors import BadArgument, InsufficientOrder
-from .riordan import RiordanPair, TriMatrix, col_gf, diag_down_gf, diag_up_poly
+from .riordan import TriMatrix
 from .series import Coeff, Poly, Series, falling_factorial
 
 Scalar = Union[int, Fraction]
@@ -54,6 +56,23 @@ def _binom(top: int, k: int) -> int:
     return comb(top, k)
 
 
+def _require_nonnegative(*indices: int) -> None:
+    if min(indices) < 0:
+        raise BadArgument("indices must be nonnegative, got %s"
+                          % ", ".join(str(i) for i in indices))
+
+
+def _require_rows(size: int) -> None:
+    if size < 1:
+        raise BadArgument("need at least one row, got size %d" % size)
+
+
+def _require_nonzero_rational(phi: Coeff) -> None:
+    if isinstance(phi, Poly) or phi == 0:
+        raise BadArgument("the closed form divides by phi, which must be a "
+                          "nonzero rational, got %s" % phi)
+
+
 # ---------------------------------------------------------------------------
 # the generic triangle <B>
 # ---------------------------------------------------------------------------
@@ -63,8 +82,7 @@ def u_entry(b_fun: Series, n: int, m: int) -> Coeff:
     closed form falling((n+m)/2, m-1) * W_2(n, m), W_2 the weight sum over
     partitions of n into m odd parts (the claim under test; :func:`u_matrix`
     computes the same entries from B-powers)."""
-    if n < 0 or m < 0:
-        raise BadArgument("entry indices must be nonnegative, got (%d, %d)" % (n, m))
+    _require_nonnegative(n, m)
     if m > n:
         return 0
     if n == 0:
@@ -126,8 +144,7 @@ def u_poly(b_fun: Series, n: int, param: str = "x") -> Poly:
 def u_matrix(b_fun: Series, size: int) -> TriMatrix:
     """First `size` rows of the triangle of B-composition polynomials,
     read off one table of B-powers."""
-    if size < 1:
-        raise BadArgument("need at least one row, got size %d" % size)
+    _require_rows(size)
     powers = b_powers(b_fun, size - 1)
     return TriMatrix([[_table_entry(powers, n, m, 1) for m in range(n + 1)]
                       for n in range(size)])
@@ -208,40 +225,6 @@ def exp_pair_entry_partitions(b_fun: Series, n: int, m: int) -> Coeff:
     return factorial(n) * weight_sum(b_fun, n, m, 1)
 
 
-def theorem9_check(b_fun: Series, size: int) -> bool:
-    """Down-diagonals of <B> against the exponential pair (1, x*B).
-
-    For every 0 <= m <= n < size the entry of <B> in row 2n - m, column m,
-    times (n - m + 1)!, must equal the exponential-pair entry (n, m),
-    n!/m! * [x^(n-m)] B^m.  The pair's columns come from one running power
-    of B, not from the power table behind <B>; B(0) may vanish, so the pair
-    is not built as a ``RiordanPair``.
-    """
-    mat = u_matrix(b_fun, 2 * size - 1)
-    power = Series.one(size - 1)                  # B^m
-    for m in range(size):
-        for n in range(m, size):
-            lhs = mat.entry(2 * n - m, m) * factorial(n - m + 1)
-            if lhs != Fraction(factorial(n), factorial(m)) * power.coeff(n - m):
-                return False
-        power = power * b_fun
-    return True
-
-
-def is_appell_bfun(b_fun: Series, size: int) -> bool:
-    """Does stripping the first row and column of <B> leave a binomial
-    (Appell-type) triangle binom(n, m) * b_{(n-m)/2}?"""
-    mat = u_matrix(b_fun, size + 1)
-    for n in range(size):
-        for m in range(n + 1):
-            want: Coeff = 0
-            if (n - m) % 2 == 0:
-                want = comb(n, m) * b_fun.coeff((n - m) // 2)
-            if mat.entry(n + 1, m + 1) != want:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # B = 1/(1-x): the lattice-path matrix R and the Narayana ladder
 # ---------------------------------------------------------------------------
@@ -256,102 +239,45 @@ def rna_series(phi: Coeff, order: int, beta: Scalar = 1) -> Series:
 
 
 def rna_row_poly(n: int, param: str = "x") -> Poly:
-    """Row n of R in closed binomial form."""
-    assert n >= 0
+    """Row n of R in closed binomial form: at x^q, q = n, n-2, ... > 0, the
+    Narayana number binom(k, q-1) binom(k, q) / k with k = (n+q)/2."""
+    _require_nonnegative(n)
     if n == 0:
         return Poly(param, [1])
     coeffs: List[Coeff] = [0] * (n + 1)
-    if n % 2 == 0:
-        half = n // 2
-        for m in range(1, half + 1):
-            coeffs[2 * m] = Fraction(
-                _binom(half + m, 2 * m - 1) * _binom(half + m, 2 * m),
-                half + m)
-    else:
-        half = (n - 1) // 2
-        for m in range(half + 1):
-            coeffs[2 * m + 1] = Fraction(
-                _binom(half + m + 1, 2 * m) * _binom(half + m + 1, 2 * m + 1),
-                half + m + 1)
+    for q in range(2 - n % 2, n + 1, 2):
+        k = (n + q) // 2
+        coeffs[q] = Fraction(_binom(k, q - 1) * _binom(k, q), k)
     return Poly(param, coeffs)
 
 
 def rna_beta_row_poly(n: int, beta: Scalar, param: str = "x") -> Poly:
     """Row n for B = 1/(1 - beta*x): entrywise beta^((n-m)/2) rescaling."""
-    base = rna_row_poly(n, param)
-    coeffs = [base.coeff(m) for m in range(n + 1)]
-    for m in range(n + 1):
-        if coeffs[m] != 0:
-            coeffs[m] = coeffs[m] * beta ** ((n - m) // 2)
-    return Poly(param, coeffs)
+    base = rna_row_poly(n, param).coeffs
+    return Poly(param, [c * beta ** ((n - m) // 2) if c != 0 else c
+                        for m, c in enumerate(base)])
 
 
 def rna_power_coeff(beta: Coeff, n: int) -> Coeff:
     """[x^n] R^beta in closed binomial form, R the phi = 1 member for
-    B = 1/(1-x)."""
-    assert n >= 0
+    B = 1/(1-x): the sum over q = n, n-2, ... > 0 of
+    beta * falling(beta + k - 1, q - 1) * binom(k - 1, (n-q)/2) / q!,
+    k = (n+q)/2."""
+    _require_nonnegative(n)
     if n == 0:
         return 1
     total: Coeff = 0
-    if n % 2 == 0:
-        k = n // 2
-        for m in range(1, k + 1):
-            term = beta * falling_factorial(beta + k + m - 1, 2 * m - 1)
-            total = total + term * Fraction(_binom(k + m - 1, k - m),
-                                            factorial(2 * m))
-    else:
-        k = (n - 1) // 2
-        for m in range(k + 1):
-            term = beta * falling_factorial(beta + k + m, 2 * m)
-            total = total + term * Fraction(_binom(k + m, k - m),
-                                            factorial(2 * m + 1))
+    for q in range(2 - n % 2, n + 1, 2):
+        k = (n + q) // 2
+        term = beta * falling_factorial(beta + k - 1, q - 1)
+        total = total + term * Fraction(_binom(k - 1, (n - q) // 2),
+                                        factorial(q))
     return total
-
-
-def rna_column_check(n: int, order: int) -> bool:
-    """Column n+1 of R has gf x^(n+1) Ntilde_n(x^2) / (1-x^2)^(2n+1), with
-    Ntilde_n the Narayana polynomial divided by its zero root (Ntilde_0 = 1)."""
-    assert n >= 0
-    size = order + 1
-    mat = u_matrix(Series.geometric(max(0, (size - 2) // 2), 1), size)
-    lhs = col_gf(mat, n + 1)
-    if n == 0:
-        tilde = [Fraction(1)]
-    else:
-        npoly = narayana_poly(n)
-        assert npoly.coeff(0) == 0
-        tilde = [npoly.coeff(k + 1) for k in range(n)]
-    stretched: List[Coeff] = [0] * (2 * len(tilde) - 1) if tilde else [0]
-    for k, c in enumerate(tilde):
-        stretched[2 * k] = c
-    rhs = Series(stretched, order) * Series([1, 0, -1], order) ** (-(2 * n + 1))
-    return lhs == rhs.x_mul(n + 1).truncate(order)
-
-
-def rna_row_via_narayana_check(size: int) -> bool:
-    """Rows of R read off Narayana-triangle entries:
-    row 2n has N_{n+m, 2m} at position 2m, row 2n+1 has N_{n+m+1, 2m+1} at
-    position 2m+1."""
-    mat = u_matrix(Series.geometric(max(0, (size - 2) // 2), 1), size)
-    nara = narayana_matrix(2 * size)
-    for row in range(size):
-        for col in range(row + 1):
-            if (row - col) % 2 != 0:
-                continue
-            if row % 2 == 0:
-                n, m = row // 2, col // 2
-                want = nara.entry(n + m, 2 * m)
-            else:
-                n, m = (row - 1) // 2, (col - 1) // 2
-                want = nara.entry(n + m + 1, 2 * m + 1)
-            if mat.entry(row, col) != want:
-                return False
-    return True
 
 
 def narayana_poly(n: int, param: str = "x") -> Poly:
     """Narayana polynomial: sum_m binom(n, m-1) binom(n, m) x^m / n."""
-    assert n >= 0
+    _require_nonnegative(n)
     if n == 0:
         return Poly(param, [1])
     return Poly(param, [Fraction(_binom(n, m - 1) * _binom(n, m), n)
@@ -360,42 +286,9 @@ def narayana_poly(n: int, param: str = "x") -> Poly:
 
 def narayana_matrix(size: int) -> TriMatrix:
     """Rows are the coefficients of the Narayana polynomials."""
-    assert size >= 1
+    _require_rows(size)
     return TriMatrix([[narayana_poly(n).coeff(m) for m in range(n + 1)]
                       for n in range(size)])
-
-
-def narayana_gf_check(order: int) -> bool:
-    """The closed form (1 + t(1-x) - sqrt(1 - 2t(1+x) + t^2 (1-x)^2)) / (2t)
-    reproduces the Narayana polynomials as its t-coefficients, and those
-    satisfy the equivalent quadratic t*N^2 - (1 + t(1-x))*N + 1 = 0."""
-    x = Poly.var("x")
-    rows = Series([narayana_poly(n) for n in range(order + 1)], order)
-    inner = Series([1, -2 * (1 + x), (1 - x) ** 2], order + 2)
-    num = Series([1, 1 - x], order + 2) - inner.sqrt()
-    if (num.div_x(1) / 2).truncate(order) != rows:
-        return False
-    lhs = (rows * rows).x_mul(1).truncate(order)
-    rhs = rows * Series([1, 1 - x], order) - 1
-    return lhs == rhs
-
-
-def theorem4_check(n: int, order: int) -> bool:
-    """Column n+1 of the Narayana triangle has gf x^n N_n(x) / (1-x)^(2n+1)."""
-    assert n >= 1
-    mat = narayana_matrix(order + 1)
-    lhs = col_gf(mat, n + 1)
-    geom = Series.geometric(order, 1)
-    rhs = Series.from_poly(narayana_poly(n), order) * geom ** (2 * n + 1)
-    return lhs == rhs.x_mul(n).truncate(order)
-
-
-def theorem5_check(n: int) -> bool:
-    """The rising diagonal of R through row 2n is the Narayana polynomial."""
-    size = 2 * n + 1
-    b_geom = Series.geometric(max(0, (size - 2) // 2), 1)
-    mat = u_matrix(b_geom, size)
-    return diag_up_poly(mat, 2 * n) == narayana_poly(n)
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +300,9 @@ def one_plus_x_bfun(order: int) -> Series:
     return Series([1, 1], max(1, order))
 
 
-def one_plus_x_series(phi: Coeff, order: int) -> Series:
+def one_plus_x_series(phi: Scalar, order: int) -> Series:
     """Closed form for the series solving g = 1 + x*g*phi*(1 + x^2*g)."""
-    assert phi != 0, "the closed form needs phi nonzero"
+    _require_nonzero_rational(phi)
     num = Series([1, (-1) * phi], order + 3)
     rad = (num * num - Series([0, 0, 0, 4 * phi], order + 3)).sqrt()
     return (num - rad).div_x(3) / (2 * phi)
@@ -417,7 +310,7 @@ def one_plus_x_series(phi: Coeff, order: int) -> Series:
 
 def one_plus_x_entry(n: int, m: int) -> Coeff:
     """Closed form C_{(n-m)/2} * binom((n+m)/2, (3m-n)/2) for B = 1 + x."""
-    assert n >= 0 and m >= 0
+    _require_nonnegative(n, m)
     if m > n:
         return 0
     if n == 0:
@@ -429,30 +322,13 @@ def one_plus_x_entry(n: int, m: int) -> Coeff:
 
 def one_plus_x_row_poly(n: int, param: str = "x") -> Poly:
     """Row n for B = 1 + x in closed binomial form."""
-    assert n >= 0
+    _require_nonnegative(n)
     return Poly(param, [one_plus_x_entry(n, m) for m in range(n + 1)])
-
-
-def one_plus_x_down_diag_check(n: int, order: int) -> bool:
-    """Down-diagonal 2n of the B = 1+x triangle has gf C_n x^n / (1-x)^(2n+1),
-    equivalently the entries C_n binom(n+m, m-n)."""
-    assert n >= 0
-    size = 2 * n + order + 1
-    mat = u_matrix(one_plus_x_bfun((size - 2) // 2), size)
-    lhs = diag_down_gf(mat, 2 * n)
-    cn = catalan_number(n)
-    rhs = (Series.geometric(order, 1) ** (2 * n + 1) * cn).x_mul(n)
-    if lhs != rhs.truncate(order):
-        return False
-    for m in range(order + 1):
-        if lhs.coeff(m) != cn * _binom(n + m, m - n):
-            return False
-    return True
 
 
 def one_plus_x_up_diag_poly(n: int) -> Poly:
     """Rising diagonal through row 2n: sum_m C_{n-m} binom(n, 2m-n) x^m."""
-    assert n >= 0
+    _require_nonnegative(n)
     return Poly("x", [catalan_number(n - m) * _binom(n, 2 * m - n)
                       for m in range(n + 1)])
 
@@ -460,63 +336,19 @@ def one_plus_x_up_diag_poly(n: int) -> Poly:
 def one_plus_x_column_series(m: int, order: int) -> Series:
     """Column m of the B = 1+x triangle in closed form:
     x^m * sum_j C_j binom(m+j, m-j) x^(2j)."""
-    assert m >= 0
+    _require_nonnegative(m)
     coeffs: List[Coeff] = [0] * (order + 1)
-    j = 0
-    while m + 2 * j <= order:
+    for j in range((order - m) // 2 + 1):
         coeffs[m + 2 * j] = catalan_number(j) * _binom(m + j, m - j)
-        j += 1
     return Series(coeffs, order)
 
 
 def t_poly(n: int, param: str = "x") -> Poly:
     """T_n(x) = sum_m binom(n+1, m+1) binom(n+m+2, m) x^m / (n+1)."""
-    assert n >= 0
+    _require_nonnegative(n)
     return Poly(param, [Fraction(_binom(n + 1, m + 1) * _binom(n + m + 2, m),
                                  n + 1)
                         for m in range(n + 1)])
-
-
-def t_poly_gf_check(order: int) -> bool:
-    """The closed form (1 - t(1+2x) - sqrt(1 - 2t(1+2x) + t^2)) / (2x(1+x)t^2)
-    reproduces T_n as its t-coefficients; equivalently
-    x(1+x) t^2 T^2 - (1 - t(1+2x)) T + 1 = 0."""
-    x = Poly.var("x")
-    rows = Series([t_poly(n) for n in range(order + 1)], order)
-    inner = Series([1, -2 * (1 + 2 * x), 1], order + 2)
-    num = Series([1, -(1 + 2 * x)], order + 2) - inner.sqrt()
-    if num.div_x(2) != rows * (2 * x * (1 + x)):
-        return False
-    lhs = (rows * rows * (x * (1 + x))).x_mul(2).truncate(order)
-    rhs = rows * Series([1, -(1 + 2 * x)], order) - 1
-    return lhs == rhs
-
-
-def t_from_narayana_check(n: int) -> bool:
-    """T_n(x) = (1+x)^n * Ntilde_{n+1}(x/(1+x)) with Ntilde the Narayana
-    polynomial divided by its zero root."""
-    tilde = narayana_poly(n + 1)
-    assert tilde.coeff(0) == 0
-    one_plus = Poly("x", [1, 1])
-    acc = Poly("x", ())
-    power = Poly("x", [1])
-    for k in range(n + 1):
-        acc = acc + power * one_plus ** (n - k) * tilde.coeff(k + 1)
-        power = power * Poly.var("x")
-    return acc == t_poly(n)
-
-
-def theorem6_check(n: int, order: int) -> bool:
-    """Column n+1 of the B = 1+x triangle has gf x^(n+1) T_n(x^2) (1 + x^2)."""
-    assert n >= 0
-    size = order + 1
-    mat = u_matrix(one_plus_x_bfun((size - 2) // 2), size)
-    lhs = col_gf(mat, n + 1)
-    stretched: List[Coeff] = [0] * (2 * n + 1)
-    for k in range(n + 1):
-        stretched[2 * k] = t_poly(n).coeff(k)
-    rhs = Series(stretched, order) * Series([1, 0, 1], order)
-    return lhs == rhs.x_mul(n + 1).truncate(order)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +357,7 @@ def theorem6_check(n: int, order: int) -> bool:
 
 def catalan_b_series(phi: Scalar, order: int) -> Series:
     """Closed form for the series solving g = 1 + x*g*phi*C(x^2 g)."""
-    assert phi != 0, "the closed form needs phi nonzero"
-    assert not isinstance(phi, Poly), "the closed form divides by phi"
+    _require_nonzero_rational(phi)
     inv_phi = Fraction(1, phi) if isinstance(phi, int) else 1 / phi
     num = Series([1, 2 * inv_phi - phi], order + 1)
     rad = Series([1, -2 * phi, phi * phi - 4], order + 1).sqrt()
@@ -535,7 +366,7 @@ def catalan_b_series(phi: Scalar, order: int) -> Series:
 
 def catalan_b_entry(n: int, m: int) -> Coeff:
     """Closed form C_{(n-m)/2} binom(n-1, m-1) for B = C(x)."""
-    assert n >= 0 and m >= 0
+    _require_nonnegative(n, m)
     if m > n:
         return 0
     if n == 0:
@@ -547,27 +378,8 @@ def catalan_b_entry(n: int, m: int) -> Coeff:
 
 def catalan_b_row_poly(n: int, param: str = "x") -> Poly:
     """Row n for B = C(x) in closed binomial form."""
-    assert n >= 0
+    _require_nonnegative(n)
     return Poly(param, [catalan_b_entry(n, m) for m in range(n + 1)])
-
-
-def down_diag_supposition_check(n: int, order: int) -> bool:
-    """Observed relation between down-diagonals: diagonal 2n of the B = C
-    triangle times x^(n-1) matches diagonal 2n of the B = 1+x triangle
-    (n >= 1)."""
-    assert n >= 1
-    size = 3 * n + order
-    mat_c = u_matrix(Series.catalan(max(0, (size - 2) // 2)), size)
-    mat_1 = u_matrix(one_plus_x_bfun((size - 2) // 2), size)
-    d_c = diag_down_gf(mat_c, 2 * n)
-    d_1 = diag_down_gf(mat_1, 2 * n)
-    for i in range(n - 1):
-        if d_1.coeff(i) != 0:
-            return False
-    for j in range(order + 1):
-        if d_1.coeff(j + n - 1) != d_c.coeff(j):
-            return False
-    return True
 
 
 def half_matrix(size: int) -> TriMatrix:
@@ -576,60 +388,17 @@ def half_matrix(size: int) -> TriMatrix:
     Column 0 is (1, 0, 0, ...); column m >= 1 holds the coefficients of
     x^m * T_{m-1}(x) * (1 + x).
     """
-    assert size >= 1
-    cols: List[List[Coeff]] = []
-    for m in range(size):
-        col: List[Coeff] = [0] * size
-        if m == 0:
-            col[0] = 1
-        else:
-            prod = (Series.from_poly(t_poly(m - 1), size - 1)
-                    * Series([1, 1], size - 1))
-            for j in range(size - m):
-                col[m + j] = prod.coeff(j)
-        cols.append(col)
-    return TriMatrix([[cols[m][n] for m in range(n + 1)] for n in range(size)])
+    _require_rows(size)
+    cols = [Series([1], size - 1)] + [
+        Series.from_poly(t_poly(m - 1), size - 1) * Series([1, 1], size - 1)
+        for m in range(1, size)]
+    return TriMatrix.from_entry_fn(size, lambda n, m: cols[m].coeff(n - m))
 
 
 def f_poly(n: int, param: str = "x") -> Poly:
     """Row n of the interpolating triangle."""
     mat = half_matrix(n + 1)
     return Poly(param, list(mat.rows[n]))
-
-
-def theorem7_check(n: int) -> bool:
-    """Row n+1 of the B = C triangle carries a row of the interpolating
-    triangle with the variable squared: x^(n-1) * row_{n+1} = F_n(x^2)."""
-    assert n >= 1
-    size = n + 2
-    mat = u_matrix(Series.catalan(max(0, (size - 2) // 2)), size)
-    lhs: Dict[int, Coeff] = {}
-    for m in range(n + 2):
-        c = mat.entry(n + 1, m)
-        if c != 0:
-            lhs[m + n - 1] = c
-    rhs: Dict[int, Coeff] = {}
-    fn = f_poly(n)
-    for k in range(n + 1):
-        c = fn.coeff(k)
-        if c != 0:
-            rhs[2 * k] = c
-    return lhs == rhs
-
-
-def f_gf_check(order: int) -> bool:
-    """The row gf of the interpolating triangle, F(t, x) = sum_n F_n(t) x^n,
-    matches its closed form (1 - xt - sqrt(1 - 2xt(1+2x) + x^2 t^2)) / (2x^2 t)
-    and so satisfies x^2 t F^2 - (1 - xt) F + 1 = 0."""
-    t = Poly.var("t")
-    rows = Series([f_poly(n, param="t") for n in range(order + 1)], order)
-    inner = Series([1, -2 * t, t * t - 4 * t], order + 2)
-    num = Series([1, -t], order + 2) - inner.sqrt()
-    if num.div_x(2) != rows * (2 * t):
-        return False
-    lhs = (rows * rows * t).x_mul(2).truncate(order)
-    rhs = rows * Series([1, -t], order) - 1
-    return lhs == rhs
 
 
 def cbar_series(order: int) -> Series:
@@ -640,79 +409,23 @@ def cbar_series(order: int) -> Series:
     return Series(coeffs, order)
 
 
-def catalan_b_appell_check(phi: Scalar, order: int) -> bool:
-    """Dropping the leading zero of each row of the B = C triangle leaves an
-    Appell sequence: sum_n (row_{n+1}(phi)/phi... evaluated) x^n / n! equals
-    cbar(x) * e^(phi*x); the same fact at the series level reads
-    [x^n] g[phi] = phi * (n-1)! * [x^(n-1)] (cbar(x) e^(phi*x))."""
-    assert phi != 0
-    size = order + 2
-    b_fun = Series.catalan(max(0, (size - 2) // 2))
-    mat = u_matrix(b_fun, size)
-    lhs_coeffs: List[Coeff] = []
-    for n in range(order + 1):
-        row = list(mat.rows[n + 1])
-        assert row[0] == 0
-        val: Coeff = 0
-        p: Coeff = 1
-        for c in row[1:]:
-            val = val + c * p
-            p = p * phi
-        lhs_coeffs.append(Fraction(1, factorial(n)) * val)
-    rhs = cbar_series(order) * Series([0, phi], order).exp()
-    if Series(lhs_coeffs, order) != rhs:
-        return False
-    g = catalan_b_series(phi, order + 1)
-    for n in range(1, order + 2):
-        if g.coeff(n) != phi * factorial(n - 1) * rhs.coeff(n - 1):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# exponential-pair diagonal displays
-# ---------------------------------------------------------------------------
-
-def exp_diag_display_check(order: int, which: str) -> bool:
-    """Down-diagonal generating functions of three exponential pairs.
-
-    which = "geom":       diag n of (1, x/(1-x))_E is (n+1)! N_n(x)/(1-x)^(2n+1)
-    which = "one_plus_x": diag n of (1, x(1+x))_E  is ((2n)!/n!) x^n/(1-x)^(2n+1)
-    which = "catalan":    diag n of (1, x C(x))_E  is ((2n)!/n!) x/(1-x)^(2n+1), n > 0
-    """
-    size = 2 * order + 1
-    half = size - 1
-    if which == "geom":
-        pair = RiordanPair(Series.one(half), Series.geometric(half, 1))
-    elif which == "one_plus_x":
-        pair = RiordanPair(Series.one(half), Series([1, 1], half))
-    elif which == "catalan":
-        pair = RiordanPair(Series.one(half), Series.catalan(half))
-    else:
-        raise ValueError("unknown display name %r" % which)
-    mat = pair.exp_matrix(size)
-    geom = Series.geometric(order, 1)
-    for n in range(order + 1):
-        lhs = diag_down_gf(mat, n).truncate(order)
-        if which == "geom":
-            rhs = (Series.from_poly(narayana_poly(n), order)
-                   * geom ** (2 * n + 1) * factorial(n + 1))
-        elif which == "one_plus_x":
-            rhs = (geom ** (2 * n + 1)
-                   * Fraction(factorial(2 * n), factorial(n))).x_mul(n)
-        else:
-            if n == 0:
-                continue
-            rhs = (geom ** (2 * n + 1)
-                   * Fraction(factorial(2 * n), factorial(n))).x_mul(1)
-        if lhs != rhs.truncate(order):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # explicit even/odd row formulas in terms of convolution values
 # ---------------------------------------------------------------------------
+
+def _row_via_conv(n: int, s_val, param: str) -> Poly:
+    """Row n of <B> from the convolution values s_val(j, q) = [x^j] B^q:
+    at x^q, q = n, n-2, ... > 0, binom((n+q)/2, q) s_{(n-q)/2}(q) / ((n-q)/2 + 1).
+    """
+    _require_nonnegative(n)
+    if n == 0:
+        return Poly(param, [1])
+    coeffs: List[Coeff] = [0] * (n + 1)
+    for q in range(2 - n % 2, n + 1, 2):
+        j = (n - q) // 2
+        coeffs[q] = Fraction(_binom((n + q) // 2, q), j + 1) * s_val(j, q)
+    return Poly(param, coeffs)
+
 
 def u_row_via_conv(b_fun: Series, n: int, param: str = "x") -> Poly:
     """Row n of <B> through the convolution values s_j(m) = [x^j] B^m:
@@ -720,40 +433,10 @@ def u_row_via_conv(b_fun: Series, n: int, param: str = "x") -> Poly:
     row 2k:   sum_m binom(k+m, 2m)     s_{k-m}(2m)   / (k-m+1) x^(2m)
     row 2k+1: sum_m binom(k+m+1, 2m+1) s_{k-m}(2m+1) / (k-m+1) x^(2m+1)
     """
-    assert n >= 0
-    if n == 0:
-        return Poly(param, [1])
     powers = b_powers(b_fun, n)
-    coeffs: List[Coeff] = [0] * (n + 1)
-    if n % 2 == 0:
-        k = n // 2
-        for m in range(1, k + 1):
-            s_val = powers[2 * m].coeff(k - m)
-            coeffs[2 * m] = Fraction(_binom(k + m, 2 * m), k - m + 1) * s_val
-    else:
-        k = (n - 1) // 2
-        for m in range(k + 1):
-            s_val = powers[2 * m + 1].coeff(k - m)
-            coeffs[2 * m + 1] = Fraction(_binom(k + m + 1, 2 * m + 1),
-                                         k - m + 1) * s_val
-    return Poly(param, coeffs)
+    return _row_via_conv(n, lambda j, q: powers[q].coeff(j), param)
 
 
 def exp_bfun_row_poly(n: int, param: str = "x") -> Poly:
     """Rows of <B> for B = e^x, where s_j(m) = m^j / j!."""
-    assert n >= 0
-    if n == 0:
-        return Poly(param, [1])
-    coeffs: List[Coeff] = [0] * (n + 1)
-    if n % 2 == 0:
-        k = n // 2
-        for m in range(1, k + 1):
-            coeffs[2 * m] = (Fraction(_binom(k + m, 2 * m), k - m + 1)
-                             * Fraction((2 * m) ** (k - m), factorial(k - m)))
-    else:
-        k = (n - 1) // 2
-        for m in range(k + 1):
-            coeffs[2 * m + 1] = (Fraction(_binom(k + m + 1, 2 * m + 1), k - m + 1)
-                                 * Fraction((2 * m + 1) ** (k - m),
-                                            factorial(k - m)))
-    return Poly(param, coeffs)
+    return _row_via_conv(n, lambda j, q: Fraction(q ** j, factorial(j)), param)

@@ -20,7 +20,8 @@ example extracting weights from a series that is not normalized).
 
 ``--order`` defaults to 16, overridable with the environment variable
 RIORDAN_LAB_ORDER; ``verify`` without an explicit order runs each suite
-at its own pinned default instead.
+at its own pinned default instead.  Every verb but ``verify`` takes
+``--format text|csv|json``; ``verify`` prints its plain table only.
 """
 
 from __future__ import annotations
@@ -106,10 +107,14 @@ def _resolve_order(args: argparse.Namespace,
     return env if env is not None else fallback
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+def _add_order(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--order", type=_order_arg, default=None,
                     help="truncation order (default %d, or RIORDAN_LAB_ORDER)"
                     % DEFAULT_ORDER)
+
+
+def _add_common(sp: argparse.ArgumentParser) -> None:
+    _add_order(sp)
     sp.add_argument("--format", choices=("text", "csv", "json"),
                     default="text", help="output format (default text)")
 
@@ -325,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     vp = groups.add_parser("verify", help="run a named regression suite")
     vp.add_argument("suite", choices=("all",) + tuple(verify_mod.SUITES))
-    _add_common(vp)
+    _add_order(vp)
     vp.set_defaults(func=_cmd_verify)
 
     return parser

@@ -16,10 +16,17 @@ from itertools import groupby
 from math import comb, factorial
 from typing import Iterator
 
+from .errors import BadArgument
+
+
+def _require_nonnegative(n: int) -> None:
+    if n < 0:
+        raise BadArgument("n must be nonnegative, got %d" % n)
+
 
 def partitions(n: int, parts: int | None = None) -> Iterator[tuple[int, ...]]:
     """Partitions of n as non-decreasing tuples; optionally exactly ``parts`` parts."""
-    assert n >= 0
+    _require_nonnegative(n)
     yield from _parts(n, parts, 1, 1)
 
 
@@ -60,7 +67,7 @@ def weight_sum(b, n: int, parts: int, step: int):
 
 def compositions(n: int, parts: int | None = None) -> Iterator[tuple[int, ...]]:
     """Ordered tuples of positive ints summing to n, by length then lexicographic."""
-    assert n >= 0
+    _require_nonnegative(n)
     if n == 0:
         if parts in (None, 0):
             yield ()
@@ -120,7 +127,7 @@ def odd_partitions(n: int, parts: int | None = None) -> Iterator[OddPartition]:
     Multiplicity tuples have length (n+1)//2, so that index i addresses the
     part 2i+1.
     """
-    assert n >= 0
+    _require_nonnegative(n)
     width = (n + 1) // 2
     for tup in _parts(n, parts, 1, 2):
         mults = [0] * width

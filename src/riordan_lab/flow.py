@@ -19,32 +19,22 @@ so the Bell flow is the substitution flow of :mod:`riordan_lab.alphabeta`
 reindexed: b = omega/x^2, g^(phi) = (x*g)^(phi)/x, L is the flow triangle
 of omega and c_n is ``composition_poly`` of x*g at n + 1.  Production reads
 the generator and the powers from one streamed column and L from
-``alphabeta.flow_triangle``; the dense logarithm and binomial power of M
-(``bell_log_structure_check``, ``l_matrix_via_log_powers``,
-``bell_power_matrix``) are the oracle for the entrywise claims, and the
-composition sums (``c_poly_formula``, ``c_beta_poly_formula``, both
-``alphabeta.s_omega_poly``) the oracle for the rows.
+``alphabeta.flow_triangle``; the composition sums (``c_poly_formula``,
+``c_beta_poly_formula``, both ``alphabeta.s_omega_poly``) give the rows in
+closed form.  The dense logarithm and binomial power of M, and the claims
+they check, live in :mod:`riordan_lab.verify`.
 """
-
-from fractions import Fraction
-from math import factorial
-from typing import List
 
 from .alphabeta import (flow_triangle, log_generator, s_omega_poly,
                         substitution_power)
 from .errors import BadArgument, BadConstantTerm, InsufficientOrder
-from .riordan import RiordanPair, TriMatrix
+from .riordan import TriMatrix
 from .series import Coeff, Poly, Series
 
 
 def _require_unit_constant(g: Series) -> None:
     if g.constant != 1:
         raise BadConstantTerm("flow is defined for g with constant term 1")
-
-
-def _bell_matrix(g: Series, size: int) -> TriMatrix:
-    _require_unit_constant(g)
-    return RiordanPair(g, g).matrix(size)
 
 
 def bell_log_generator(g: Series) -> Series:
@@ -59,29 +49,6 @@ def bell_log_generator(g: Series) -> Series:
     return log_generator(g.x_mul(1)).div_x(2)
 
 
-def bell_log_structure_check(g: Series) -> bool:
-    """Every entry of log(g, xg) must equal (m+1) * b_{n-m-1}."""
-    size = g.order + 1
-    lg = _bell_matrix(g, size).log()
-    b = [lg.entry(k + 1, 0) for k in range(size - 1)]
-    for n in range(size):
-        for m in range(n + 1):
-            want = 0 if n == m else (m + 1) * b[n - m - 1]
-            if lg.entry(n, m) != want:
-                return False
-    return True
-
-
-def generator_equation_check(g: Series) -> bool:
-    """The defining identity g^2 b(xg) = b * (xg)' for the log generator."""
-    b = bell_log_generator(g)
-    order = b.order
-    xg = g.x_mul(1).truncate(order)
-    lhs = g.truncate(order) * g.truncate(order) * b.zero_extended(order).compose(xg)
-    rhs = b * g.x_mul(1).deriv().truncate(order)
-    return lhs == rhs
-
-
 def l_matrix(g: Series, size: int) -> TriMatrix:
     """Flow triangle of g: the substitution flow triangle of x*g, whose
     generator reads g only through x^(size-1)."""
@@ -90,25 +57,6 @@ def l_matrix(g: Series, size: int) -> TriMatrix:
     _require_unit_constant(g)
     xg = g.truncate(max(size - 1, 0)).x_mul(1)
     return flow_triangle(log_generator(xg), size)
-
-
-def l_matrix_via_log_powers(g: Series, size: int) -> TriMatrix:
-    """Same triangle, built directly as columns (1/n!) (log M)^n e_0."""
-    lg = _bell_matrix(g, size).log()
-    cols: List[List[Coeff]] = []
-    vec: List[Coeff] = [1] + [0] * (size - 1)
-    cols.append(list(vec))
-    for n in range(1, size):
-        vec = [sum(lg.entry(i, j) * vec[j] for j in range(i + 1))
-               for i in range(size)]
-        cols.append([Fraction(1, factorial(n)) * v if v != 0 else 0
-                     for v in vec])
-    return TriMatrix([[cols[m][n] for m in range(n + 1)] for n in range(size)])
-
-
-def bell_power_matrix(g: Series, phi: Coeff, size: int) -> TriMatrix:
-    """The binomial power sum_n binom(phi, n) (M - I)^n of the pair matrix."""
-    return _bell_matrix(g, size).pow_binomial(phi)
 
 
 def bell_power_series(g: Series, phi: Coeff, order: int | None = None) -> Series:
@@ -151,29 +99,3 @@ def c_beta_poly_formula(b_fun: Series, n: int, beta: Coeff,
         raise InsufficientOrder("need %d generator coefficients" % n)
     return s_omega_poly([b_fun.coeff(k) for k in range(n)], n, beta,
                         Poly.var(param))
-
-
-def flow_parity_check(g: Series, size: int) -> bool:
-    """Pseudo-involution criterion on the flow triangle: row n of L keeps
-    only powers of the same parity as n (c_2n even, c_{2n+1} odd)."""
-    mat = l_matrix(g, size)
-    for n in range(size):
-        for m in range(n + 1):
-            if (n - m) % 2 != 0 and mat.entry(n, m) != 0:
-                return False
-    return True
-
-
-def power_matches_scaled_bfun(g: Series, phi: Fraction, upto: int) -> bool:
-    """Empirical probe: does the flow member g^(phi) coincide with the member
-    whose B-function is phi times the B-function of g?
-
-    True for g solving g = 1 + x*g*B(x^2*g) with B geometric (the
-    lattice-path case) and for the Pascal case B = 1; false for general B,
-    so this is a check function rather than a theorem.
-    """
-    from .pseudo import b_from_g, g_from_b
-    b = b_from_g(g.truncate(upto))
-    lhs = bell_power_series(g, phi, upto)
-    rhs = g_from_b(b, phi, upto)
-    return lhs == rhs

@@ -167,6 +167,8 @@ def b_expansion(b_fun: Series, n: int, param: str = "phi") -> Poly:
     part 2i+1 occurring m_i times (``combinat.weight_sum`` at step 2).
     B must have rational coefficients.
     """
+    if any(isinstance(c, Poly) for c in b_fun.coeffs):
+        raise BadArgument("B must have rational coefficients")
     if n == 0:
         return Poly.const(param, 1)
     p = (n - 1) // 2

@@ -20,7 +20,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
-from .errors import BadConstantTerm, InsufficientOrder, NonzeroConstant, NotReversible
+from .errors import (BadArgument, BadConstantTerm, InsufficientOrder,
+                     NonzeroConstant, NotReversible)
 
 Rational = Fraction
 Coeff = Union[int, Fraction, "Poly"]
@@ -229,7 +230,8 @@ def falling_factorial(start: Coeff, length: int) -> Coeff:
     ``start`` may be a rational or a Poly, so the same helper serves numeric
     and symbolic coefficient formulas.
     """
-    assert length >= 0
+    if length < 0:
+        raise BadArgument("length must be nonnegative, got %d" % length)
     out: Coeff = 1
     for i in range(length):
         out = out * (start - i)
@@ -416,14 +418,8 @@ class Series:
     def __truediv__(self, other):
         if isinstance(other, Series):
             return self * other.inverse()
-        if isinstance(other, int):
-            other = Fraction(other)
-        if isinstance(other, (Fraction, Poly)):
-            if isinstance(other, Poly):
-                assert other.is_constant() and other.constant() != 0
-                inv: Coeff = Poly.const(other.param, 1 / Fraction(other.constant()))
-            else:
-                inv = 1 / other
+        if isinstance(other, (int, Fraction, Poly)):
+            inv = _invert_coeff(other, BadArgument)
             return self.map_coeffs(lambda c: c * inv)
         return NotImplemented
 
@@ -597,8 +593,9 @@ class Series:
 
 
 def _invert_coeff(c0: Coeff, error: type) -> Coeff:
-    """1/c0 for the leading coefficient of an inverse or a reversion; a
-    non-constant Poly raises ``error``, a zero one ZeroDivisionError."""
+    """1/c0 for the leading coefficient of an inverse or a reversion, or for
+    a scalar divisor; a non-constant Poly raises ``error``, a zero one
+    ZeroDivisionError."""
     if isinstance(c0, Poly):
         if not c0.is_constant():
             raise error("cannot invert the non-constant leading coefficient %s" % c0)

@@ -26,7 +26,9 @@ from riordan_lab import alphabeta as ab
 from riordan_lab.cli import run
 from riordan_lab.exprs import parse, to_text
 from riordan_lab.series import Poly, Series
-from riordan_lab.verify import _random_normalized, run_suite
+from riordan_lab.verify import (_random_normalized, derivative_relations_check,
+                                involution_split_check, run_suite,
+                                split_identity_check)
 
 from test_exprs import CORPUS
 
@@ -176,14 +178,14 @@ def test_criterion_7_infinite_product_identities():
     for i, g in enumerate(singles):
         checks.append(("one-parameter subgroup #%d: split holds at "
                        "t in {1/3, -1, 2}" % i,
-                       all(ab.split_identity_check(g, tv)
+                       all(split_identity_check(g, tv)
                            for tv in (Fraction(1, 3), -1, 2))))
         checks.append(("one-parameter subgroup #%d: negated-weight product "
-                       "holds" % i, ab.involution_split_check(g)))
+                       "holds" % i, involution_split_check(g)))
         checks.append(("one-parameter subgroup #%d: t = 0 and t = 1 "
-                       "tangents hold" % i, ab.derivative_relations_check(g)))
+                       "tangents hold" % i, derivative_relations_check(g)))
     checks.append(("split holds at t in {0, 1} for every g above",
-                   all(ab.split_identity_check(g, tv)
+                   all(split_identity_check(g, tv)
                        for g in gs + list(two_weight.values())
                        for tv in (0, 1))))
     _criterion(7, "infinite-product layer: true identities hold, false "

@@ -10,31 +10,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from riordan_lab import alphabeta, cli, flow
+from riordan_lab import alphabeta, cli, flow, verify
 from riordan_lab.alphabeta import (_apply_factor, _flow_column,
                                    _substitute_factor, alpha_series,
                                    alpha_weights, beta_series,
                                    beta_weights, composition_poly,
-                                   derivative_relations_check,
-                                   derivative_relations_report,
                                    factor_column_gf, factor_series,
-                                   family_alpha, family_beta,
-                                   family_inverse_check, flow_triangle,
-                                   from_alpha, from_beta,
-                                   inverse_weights_check,
-                                   involution_split_check, lagrange_pair_check,
-                                   log_generator,
-                                   log_generator_equation_check,
-                                   log_structure_check,
-                                   pseudo_involution_symmetry_check,
+                                   family_alpha, family_beta, flow_triangle,
+                                   from_alpha, from_beta, log_generator,
                                    s_alpha_poly, s_beta_poly, s_omega_poly,
                                    s_poly, series_to_weights,
-                                   split_identity_check, substitution_matrix,
-                                   substitution_power, substitution_power_lie,
-                                   weights_to_series)
+                                   substitution_matrix, substitution_power,
+                                   substitution_power_lie, weights_to_series)
 from riordan_lab.errors import InsufficientOrder, NotPseudoInvolution
 from riordan_lab.riordan import RiordanPair, TriMatrix
 from riordan_lab.series import Poly, Series, binom_param
+from riordan_lab.verify import (derivative_relations_check,
+                                derivative_relations_report,
+                                family_inverse_check, inverse_weights_check,
+                                involution_split_check, lagrange_pair_check,
+                                log_generator_equation_check,
+                                log_structure_check,
+                                pseudo_involution_symmetry_check,
+                                split_identity_check)
 
 N = 12
 
@@ -269,7 +267,7 @@ def test_flows_take_the_generator_of_g_truncated_to_the_rows(monkeypatch):
         composition_poly(g, n)
         flow.c_poly(bell, n - 1)
         flow.l_matrix(bell, n)
-        flow.flow_parity_check(bell, n)
+        verify.flow_parity_check(bell, n)
         assert seen == [n] * 4, n
 
 

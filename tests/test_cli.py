@@ -1,15 +1,17 @@
 """End-to-end command line tests: wiring, formats, exit codes, golden files."""
 
+import inspect
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from riordan_lab import bcomp
+from riordan_lab import alphabeta, bcomp, flow, verify
 from riordan_lab.alphabeta import alpha_weights, beta_weights
 from riordan_lab.cli import main, run
 from riordan_lab.errors import RiordanError
@@ -182,6 +184,70 @@ def test_verify_rejects_unknown_suite():
     assert info.value.code == 2
 
 
+def test_verify_takes_no_format_flag():
+    # verify prints one plain table; a format flag is a usage error
+    for fmt in ("text", "json"):
+        with pytest.raises(SystemExit) as info:
+            run(["verify", "theorem5", "--format", fmt])
+        assert info.value.code == 2
+
+
+# the five dense or empirical routes that are oracles, not claims
+ORACLES = ("is_appell_bfun", "power_matches_scaled_bfun",
+           "l_matrix_via_log_powers", "bell_power_matrix", "_bell_matrix")
+
+
+def _claim_names(module) -> list:
+    return sorted(name for name, obj in vars(module).items()
+                  if inspect.isfunction(obj) and obj.__module__ == module.__name__
+                  and (name.endswith(("_check", "_report")) or name in ORACLES))
+
+
+def test_claims_and_oracles_live_only_in_verify():
+    for module in (bcomp, alphabeta, flow):
+        assert _claim_names(module) == [], module.__name__
+        assert not [name for name in ORACLES if hasattr(module, name)]
+    assert set(ORACLES) <= set(_claim_names(verify))
+
+
+def test_verify_all_calls_every_check(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    names = _claim_names(verify)
+    for name in names:
+        monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    results = verify.run_all(9)    # the smallest order every suite runs at
+    assert [name for name in names if not calls[name]] == []
+    failing = [name for name, checks in results.items()
+               if not verify.suite_passed(checks)]
+    assert failing == ["alphabeta"]
+
+
+def test_verify_prints_the_same_under_optimize():
+    # the checks are comparisons, not asserts, so -O changes nothing
+    suites = ["theorem%d" % k for k in range(4, 10)] + ["flow"]
+    script = ("import sys\n"
+              "from riordan_lab.cli import run\n"
+              "print(sys.flags.optimize)\n"
+              "for suite in %r:\n"
+              "    print(run(['verify', suite]).output)\n" % (suites,))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("RIORDAN_LAB_ORDER", None)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    plain = "".join(run(["verify", suite]).output + "\n" for suite in suites)
+    assert proc.stdout == "1\n" + plain
+
+
 # exit codes and stream routing -----------------------------------------------
 
 def test_exit_code_zero_routes_to_stdout(capsys):
@@ -246,9 +312,37 @@ API_DOMAIN_ERRORS = (
     ("bcomp.scale_entries(riordan.TriMatrix([[1], [1, 1]]), 2)", "BadArgument"),
     ("Series([Poly.var('t'), 1], 3).inverse()", "BadConstantTerm"),
     ("Series([0, Poly.var('t'), 1], 3).revert()", "NotReversible"),
+    ("Series([1, 2], 3) / (1 + Poly.var('t'))", "BadArgument"),
+    ("Series([1, 2], 3) / Poly.var('t')", "BadArgument"),
+    ("falling_factorial(5, -1)", "BadArgument"),
+    ("binom_param(5, -2)", "BadArgument"),
+    ("list(combinat.partitions(-1))", "BadArgument"),
+    ("list(combinat.odd_partitions(-3))", "BadArgument"),
+    ("list(combinat.compositions(-1))", "BadArgument"),
+    ("pseudo.b_expansion(Series([1 + Poly.var('t'), 2], 1), 3)",
+     "BadArgument"),
+    ("bcomp.rna_row_poly(-1)", "BadArgument"),
+    ("bcomp.rna_power_coeff(2, -1)", "BadArgument"),
+    ("bcomp.narayana_poly(-1)", "BadArgument"),
+    ("bcomp.narayana_matrix(0)", "BadArgument"),
+    ("bcomp.one_plus_x_entry(-1, 0)", "BadArgument"),
+    ("bcomp.one_plus_x_row_poly(-1)", "BadArgument"),
+    ("bcomp.one_plus_x_up_diag_poly(-1)", "BadArgument"),
+    ("bcomp.one_plus_x_column_series(-1, 4)", "BadArgument"),
+    ("bcomp.t_poly(-2)", "BadArgument"),
+    ("bcomp.catalan_b_entry(0, -1)", "BadArgument"),
+    ("bcomp.catalan_b_row_poly(-1)", "BadArgument"),
+    ("bcomp.half_matrix(0)", "BadArgument"),
+    ("bcomp.u_row_via_conv(Series([1, 2], 3), -1)", "BadArgument"),
+    ("bcomp.exp_bfun_row_poly(-1)", "BadArgument"),
+    ("bcomp.one_plus_x_series(0, 4)", "BadArgument"),
+    ("bcomp.one_plus_x_series(Poly.var('t'), 4)", "BadArgument"),
+    ("bcomp.catalan_b_series(0, 4)", "BadArgument"),
+    ("bcomp.catalan_b_series(Poly.var('t'), 4)", "BadArgument"),
 )
-API_PRELUDE = ("from riordan_lab import bcomp, flow, pseudo, riordan\n"
-               "from riordan_lab.series import Poly, Series\n")
+API_PRELUDE = ("from riordan_lab import bcomp, combinat, flow, pseudo, riordan\n"
+               "from riordan_lab.series import (Poly, Series, binom_param,\n"
+               "                                falling_factorial)\n")
 API_SCRIPT = API_PRELUDE + """
 for call in %r:
     try:
