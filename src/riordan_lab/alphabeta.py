@@ -35,7 +35,7 @@ from typing import Sequence
 from .combinat import compositions, partitions
 from .errors import InsufficientOrder, NotNormalized
 from .riordan import RiordanPair, TriMatrix
-from .series import Coeff, Poly, Series
+from .series import Coeff, Poly, Series, _dot
 
 
 def _require_normalized(g: Series) -> None:
@@ -263,13 +263,7 @@ def _flow_column(mat: TriMatrix, col: int, t: Coeff | None = None) -> list[Coeff
         lo = col + k - 1                   # v_(k-1) vanishes above row lo
         nxt: list[Coeff] = [0] * size
         for i in range(lo + 1, size):
-            row = rows[i]
-            acc: Coeff = 0
-            for j in range(lo, i):
-                v, a = vec[j], row[j]
-                if v != 0 and a != 0:
-                    acc = acc + a * v
-            nxt[i] = acc
+            nxt[i] = _dot(rows[i][lo:i], vec[lo:i])
         if t is None:
             w = Fraction((-1) ** (k - 1), k)
         else:

@@ -19,7 +19,7 @@ from math import comb, factorial
 from .combinat import odd_partitions, weight_sum
 from .errors import BadArgument, InsufficientOrder, NotPseudoInvolution
 from .riordan import RiordanPair
-from .series import Coeff, Poly, Series, falling_factorial
+from .series import Coeff, Poly, Series, _dot, falling_factorial
 
 __all__ = [
     "g_from_b",
@@ -63,13 +63,13 @@ def g_from_b(b_fun: Series, phi: Coeff, order: int) -> Series:
     # powers[p] lists the known coefficients of g^p; powers[1] is g itself
     powers: list[list[Coeff]] = [[], g] + [[] for _ in range(len(pb) - 1)]
     for n in range(1, order + 1):
+        m = min(len(pb), (n + 1) // 2)
         # the new coefficient x^(n-2p+1) of each g^p that step n reads
-        for p in range(2, min(len(pb), (n + 1) // 2) + 1):
+        for p in range(2, m + 1):
             i = n - 2 * p + 1
-            prev = powers[p - 1]
-            powers[p].append(sum(g[t] * prev[i - t] for t in range(i + 1)))
-        g.append(sum(pb[k] * powers[k + 1][n - 1 - 2 * k]
-                     for k in range(min(len(pb), (n + 1) // 2)) if pb[k] != 0))
+            powers[p].append(_dot(g[:i + 1], powers[p - 1][i::-1], skip=""))
+        g.append(_dot(pb[:m], [powers[k + 1][n - 1 - 2 * k] for k in range(m)],
+                      skip="x"))
     return Series(g, order)
 
 

@@ -50,7 +50,9 @@ class TriMatrix:
     def __init__(self, rows: Sequence[Sequence[Coeff]]):
         rws = [list(r) for r in rows]
         for n, r in enumerate(rws):
-            assert len(r) == n + 1, "row %d must have %d entries" % (n, n + 1)
+            if len(r) != n + 1:
+                raise BadArgument("row %d must have %d entries, got %d"
+                                  % (n, n + 1, len(r)))
         self.rows = rws
 
     @classmethod
@@ -84,7 +86,7 @@ class TriMatrix:
     def __mul__(self, other):
         if not isinstance(other, TriMatrix):
             return NotImplemented
-        assert self.size == other.size
+        self._require_size(other.size)
         out = []
         for n in range(self.size):
             row = []
@@ -105,16 +107,20 @@ class TriMatrix:
     def __add__(self, other):
         if not isinstance(other, TriMatrix):
             return NotImplemented
-        assert self.size == other.size
+        self._require_size(other.size)
         return TriMatrix([[a + b for a, b in zip(ra, rb)]
                           for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         if not isinstance(other, TriMatrix):
             return NotImplemented
-        assert self.size == other.size
+        self._require_size(other.size)
         return TriMatrix([[a - b for a, b in zip(ra, rb)]
                           for ra, rb in zip(self.rows, other.rows)])
+
+    def _require_size(self, size: int) -> None:
+        if size != self.size:
+            raise BadArgument("matrix sizes differ: %d and %d" % (self.size, size))
 
     def scale(self, c: Coeff) -> "TriMatrix":
         return TriMatrix([[a * c for a in r] for r in self.rows])
@@ -125,7 +131,9 @@ class TriMatrix:
         inv: list[list[Coeff]] = [[0] * (n + 1) for n in range(size)]
         for n in range(size):
             dn = self.rows[n][n]
-            assert not isinstance(dn, Poly) and dn != 0, "singular diagonal at row %d" % n
+            if isinstance(dn, Poly) or dn == 0:
+                raise BadArgument("diagonal entry %s at row %d is not a nonzero "
+                                  "rational" % (dn, n))
             dn_inv = 1 / Fraction(dn)
             inv[n][n] = dn_inv
             for m in range(n - 1, -1, -1):
@@ -140,9 +148,13 @@ class TriMatrix:
     def is_unipotent(self) -> bool:
         return all(self.rows[n][n] == 1 for n in range(self.size))
 
+    def _require_unipotent(self) -> None:
+        if not self.is_unipotent():
+            raise BadArgument("matrix logarithm and powers need a unit diagonal")
+
     def log(self) -> "TriMatrix":
         """Matrix logarithm of a unipotent triangular matrix (finite sum)."""
-        assert self.is_unipotent(), "matrix logarithm needs a unit diagonal"
+        self._require_unipotent()
         e = self - TriMatrix.identity(self.size)
         acc = TriMatrix.identity(self.size).scale(0)
         power = TriMatrix.identity(self.size)
@@ -156,7 +168,7 @@ class TriMatrix:
 
         ``phi`` may be rational or a Poly, giving parametric matrix powers.
         """
-        assert self.is_unipotent()
+        self._require_unipotent()
         e = self - TriMatrix.identity(self.size)
         acc = TriMatrix.identity(self.size)
         power = TriMatrix.identity(self.size)
@@ -168,7 +180,9 @@ class TriMatrix:
         return acc
 
     def truncated(self, size: int) -> "TriMatrix":
-        assert 0 <= size <= self.size
+        if not 0 <= size <= self.size:
+            raise BadArgument("cannot truncate a matrix of size %d to %d"
+                              % (self.size, size))
         return TriMatrix([row[:] for row in self.rows[:size]])
 
     def __repr__(self):
@@ -363,7 +377,8 @@ def matrix_to_json_dict(mat: TriMatrix) -> dict:
 
 def matrix_from_json_dict(data: dict) -> TriMatrix:
     rows = [[Fraction(s) for s in row] for row in data["rows"]]
-    assert len(rows) == data["size"]
+    if len(rows) != data["size"]:
+        raise BadArgument("size %r but %d rows" % (data["size"], len(rows)))
     return TriMatrix(rows)
 
 

@@ -13,11 +13,21 @@ Two value types live here:
 Order bookkeeping: binary operations truncate to the smaller operand order.
 Multiplying by x (``x_mul``) raises the order, dividing by x (``div_x``)
 lowers it; neither invents coefficients.
+
+Coefficient sums: every kernel that sums coefficient products (``*``,
+``inverse``, ``sqrt``, ``exp``, ``revert``, ``pseudo.g_from_b`` and the
+streamed flow column of ``alphabeta``) does so through one exact dot
+product, ``_dot``.  Rational terms are accumulated as integer numerators
+over a running lcm of their denominators and normalised by one gcd per
+coefficient; no Fraction is built per term.  Typing rule: a coefficient is
+an int when every operand of its sum is an int, a Fraction when one is a
+Fraction (a Fraction 0 included), and a Poly when one is a Poly, as when
+each term was added as a Fraction or Poly in turn.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from math import gcd
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import (BadArgument, BadConstantTerm, InsufficientOrder,
@@ -38,6 +48,60 @@ __all__ = [
 
 def _is_zero(c: Coeff) -> bool:
     return c == 0
+
+
+_RATIONAL = (int, Fraction)
+
+
+def _dot(xs: Sequence[Coeff], ys: Sequence[Coeff], skip: str = "xy") -> Coeff:
+    """Exact sum of x*y over the zipped pairs of ``xs`` and ``ys``; the one
+    place the kernels sum coefficient products.
+
+    A pair is left out when its x (``skip`` "x"), its x or its y ("xy", the
+    default) or nothing ("") vanishes.  The value does not depend on
+    ``skip``; the type does: the result is what ``acc = acc + x*y`` gives
+    over the pairs kept, an int when every kept operand is an int (0 when
+    none is kept), a Fraction when one is a Fraction, a Poly when one is a
+    Poly.  Each kernel passes the ``skip`` of the loop it replaced, so its
+    output keeps that loop's types.
+
+    Rational pairs build no Fraction per term: the integer numerator
+    products are summed over a running lcm of the denominator products,
+    rescaled only when that lcm grows, and one gcd normalises the total.
+    Once a kept pair has a Poly operand, the loop above runs instead.
+    """
+    ints, num, den, frac = 0, 0, 1, False
+    for x, y in zip(xs, ys):
+        tx, ty = type(x), type(y)
+        if tx is int and ty is int:
+            ints += x * y
+        elif tx not in _RATIONAL or ty not in _RATIONAL:
+            if _kept(x, y, skip):
+                break                    # a Poly operand: the generic loop
+        elif x and y:
+            frac = True
+            d = x.denominator * y.denominator
+            if d == den:
+                num += x.numerator * y.numerator
+            elif den % d == 0:
+                num += x.numerator * y.numerator * (den // d)
+            else:
+                g = gcd(den, d)
+                num = num * (d // g) + x.numerator * y.numerator * (den // g)
+                den *= d // g
+        elif _kept(x, y, skip):
+            frac = True                  # a kept Fraction 0 types the sum
+    else:
+        return Fraction(num + ints * den, den) if frac else ints
+    acc: Coeff = 0
+    for x, y in zip(xs, ys):
+        if _kept(x, y, skip):
+            acc = acc + x * y
+    return acc
+
+
+def _kept(x: Coeff, y: Coeff, skip: str) -> bool:
+    return not ("x" in skip and _is_zero(x) or "y" in skip and _is_zero(y))
 
 
 # ─────────────────────────────────────────────────────────────────────────────
@@ -153,7 +217,8 @@ class Poly:
         return NotImplemented
 
     def __pow__(self, k: int):
-        assert isinstance(k, int) and k >= 0
+        if not isinstance(k, int) or k < 0:
+            raise BadArgument("exponent must be a nonnegative int, got %r" % (k,))
         out = Poly.const(self.param, 1)
         for _ in range(k):
             out = out * self
@@ -262,9 +327,11 @@ class Series:
     def __init__(self, coeffs: Sequence[Coeff], order: int | None = None):
         cs = list(coeffs)
         if order is None:
-            assert cs, "need an explicit order for an empty coefficient list"
+            if not cs:
+                raise BadArgument("an empty coefficient list needs an order")
             order = len(cs) - 1
-        assert order >= 0
+        if order < 0:
+            raise BadArgument("order must be nonnegative, got %d" % order)
         if len(cs) < order + 1:
             cs.extend([0] * (order + 1 - len(cs)))
         else:
@@ -332,7 +399,9 @@ class Series:
     # reshaping -------------------------------------------------------------
 
     def truncate(self, order: int) -> "Series":
-        assert 0 <= order <= self.order
+        if order > self.order:
+            raise InsufficientOrder("cannot truncate order %d to %d"
+                                    % (self.order, order))
         return Series(self.coeffs[: order + 1], order)
 
     def zero_extended(self, order: int) -> "Series":
@@ -348,12 +417,12 @@ class Series:
 
     def x_mul(self, k: int = 1) -> "Series":
         """Multiply by x^k exactly; order rises by k."""
-        assert k >= 0
+        _require_shift(k)
         return Series((0,) * k + self.coeffs, self.order + k)
 
     def div_x(self, k: int = 1) -> "Series":
         """Divide by x^k; the dropped coefficients must be zero."""
-        assert k >= 0
+        _require_shift(k)
         if any(not _is_zero(c) for c in self.coeffs[:k]):
             raise NotReversible("series is not divisible by x^%d" % k)
         return Series(self.coeffs[k:], self.order - k)
@@ -398,17 +467,7 @@ class Series:
         if isinstance(other, Series):
             n = self._common(other)
             a, b = self.coeffs, other.coeffs
-            out: list[Coeff] = [0] * (n + 1)
-            for i in range(n + 1):
-                ai = a[i]
-                if _is_zero(ai):
-                    continue
-                for j in range(n + 1 - i):
-                    bj = b[j]
-                    if _is_zero(bj):
-                        continue
-                    out[i + j] = out[i + j] + ai * bj
-            return Series(out, n)
+            return Series([_dot(a[:k + 1], b[k::-1]) for k in range(n + 1)], n)
         if isinstance(other, (int, Fraction, Poly)):
             return self.map_coeffs(lambda c: c * other)
         return NotImplemented
@@ -429,7 +488,8 @@ class Series:
         return NotImplemented
 
     def __pow__(self, k: int) -> "Series":
-        assert isinstance(k, int)
+        if not isinstance(k, int):
+            raise BadArgument("exponent must be an int, got %r" % (k,))
         if k < 0:
             return self.inverse() ** (-k)
         out = Series.one(self.order)
@@ -443,16 +503,11 @@ class Series:
 
     def inverse(self) -> "Series":
         """Multiplicative inverse; the constant term must be invertible."""
-        c0 = self.coeffs[0]
-        inv0 = _invert_coeff(c0, BadConstantTerm)
+        c = self.coeffs
+        inv0 = _invert_coeff(c[0], BadConstantTerm)
         out: list[Coeff] = [inv0]
         for n in range(1, self.order + 1):
-            acc: Coeff = 0
-            for k in range(1, n + 1):
-                ck = self.coeffs[k]
-                if not _is_zero(ck):
-                    acc = acc + ck * out[n - k]
-            out.append(-inv0 * acc)
+            out.append(-inv0 * _dot(c[1:n + 1], out[n - 1::-1], skip="x"))
         return Series(out, self.order)
 
     # composition and reversion --------------------------------------------
@@ -495,14 +550,11 @@ class Series:
         # pw[k][j] = [x^(k+j)] of its k-th power; pw[1] is v itself
         pw: list[list[Coeff]] = [[], v] + [[] for _ in range(top - 1)]
         for n in range(2, self.order + 1):
-            acc: Coeff = 0
-            for k in range(2, min(n, top) + 1):
-                j = n - k
-                pk = pw[k]
-                pk.append(sum(map(mul, v, pw[k - 1][j::-1])))
-                if not (_is_zero(w[k]) or _is_zero(pk[j])):
-                    acc = acc + w[k] * pk[j]
-            v.append(-acc * inv1)
+            m = min(n, top)
+            for k in range(2, m + 1):
+                pw[k].append(_dot(v, pw[k - 1][n - k::-1], skip=""))
+            v.append(-_dot(w[2:m + 1], [pw[k][n - k] for k in range(2, m + 1)])
+                     * inv1)
         return Series([0] + v, self.order)
 
     # analytic-style operations (still exact) --------------------------------
@@ -525,14 +577,10 @@ class Series:
     def exp(self) -> "Series":
         if not _is_zero(self.coeffs[0]):
             raise BadConstantTerm("exp needs constant term 0, got %r" % (self.coeffs[0],))
+        ka = [k * a for k, a in enumerate(self.coeffs)]
         out: list[Coeff] = [1]
         for n in range(1, self.order + 1):
-            acc: Coeff = 0
-            for k in range(1, n + 1):
-                ak = self.coeffs[k]
-                if not _is_zero(ak):
-                    acc = acc + k * ak * out[n - k]
-            out.append(acc / Fraction(n))
+            out.append(_dot(ka[1:n + 1], out[n - 1::-1], skip="x") / Fraction(n))
         return Series(out, self.order)
 
     def sqrt(self) -> "Series":
@@ -540,10 +588,8 @@ class Series:
             raise BadConstantTerm("sqrt needs constant term 1, got %r" % (self.coeffs[0],))
         out: list[Coeff] = [1]
         for n in range(1, self.order + 1):
-            acc: Coeff = self.coeffs[n]
-            for k in range(1, n):
-                acc = acc - out[k] * out[n - k]
-            out.append(acc / Fraction(2))
+            out.append((self.coeffs[n] - _dot(out[1:n], out[n - 1:0:-1], skip=""))
+                       / Fraction(2))
         return Series(out, self.order)
 
     def pow_scalar(self, q: Fraction) -> "Series":
@@ -561,7 +607,7 @@ class Series:
             raise BadConstantTerm("parametric powers need constant term 1")
         for c in self.coeffs:
             if isinstance(c, Poly) and c.param == param:
-                raise ValueError("parameter %r already used in coefficients" % param)
+                raise BadArgument("parameter %r already used in coefficients" % param)
         lg = self.log()
         lifted = Series([Poly(param, (0, c)) for c in lg.coeffs], lg.order)
         return lifted.exp()
@@ -590,6 +636,11 @@ class Series:
 
     def __str__(self):
         return "%s + O(x^%d)" % (format_terms(self.coeffs, "x"), self.order + 1)
+
+
+def _require_shift(k: int) -> None:
+    if k < 0:
+        raise BadArgument("shift must be nonnegative, got %d" % k)
 
 
 def _invert_coeff(c0: Coeff, error: type) -> Coeff:

@@ -178,6 +178,33 @@ def test_verify_failing_suite_is_reported_not_hidden():
     assert len(failing) == 3  # split product, negated product, t=1 tangents
 
 
+# the lines of the alphabeta suite that state false identities
+FALSE_ALPHABETA_LINES = ("split product ", "negated-weight product ",
+                         "tangent relations at t = 1 ")
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_suites_at_small_orders_raise_or_report_only_false_lines(suite):
+    # below its smallest workable order a suite raises InsufficientOrder
+    # (exit 3) rather than a traceback or a true line reported FAIL; from
+    # that order on, only the false alphabeta identities may FAIL (exit 1)
+    codes = []
+    for order in range(13):
+        result = run(["verify", suite, "--order", str(order)])
+        codes.append(result.exit_code)
+        if result.exit_code == 3:
+            assert result.output.startswith("InsufficientOrder"), order
+            continue
+        failing = [line[len("FAIL "):] for line in result.output.splitlines()
+                   if line.startswith("FAIL ")]
+        if suite != "alphabeta":
+            assert failing == [], order
+        assert all(line.startswith(FALSE_ALPHABETA_LINES) for line in failing)
+        assert result.exit_code == (1 if failing else 0), order
+    least = codes.count(3)
+    assert codes[:least] == [3] * least, codes
+
+
 def test_verify_rejects_unknown_suite():
     with pytest.raises(SystemExit) as info:
         run(["verify", "nonsense"])
@@ -339,6 +366,30 @@ API_DOMAIN_ERRORS = (
     ("bcomp.one_plus_x_series(Poly.var('t'), 4)", "BadArgument"),
     ("bcomp.catalan_b_series(0, 4)", "BadArgument"),
     ("bcomp.catalan_b_series(Poly.var('t'), 4)", "BadArgument"),
+    ("Series([1, 2], -1)", "BadArgument"),
+    ("Series([])", "BadArgument"),
+    ("Series([1, 2, 3]).truncate(5)", "InsufficientOrder"),
+    ("Series([1, 2], 3).x_mul(-1)", "BadArgument"),
+    ("Series([1, 2], 3).div_x(-1)", "BadArgument"),
+    ("Series([1, 2], 3) ** 0.5", "BadArgument"),
+    ("Poly.var('t') ** -1", "BadArgument"),
+    ("Poly.var('t') ** 0.5", "BadArgument"),
+    ("Series([1, Poly.var('phi')], 3).pow_param('phi')", "BadArgument"),
+    ("riordan.TriMatrix([[1], [1, 1]]) * riordan.TriMatrix([[1]])",
+     "BadArgument"),
+    ("riordan.TriMatrix([[1], [1, 1]]) + riordan.TriMatrix([[1]])",
+     "BadArgument"),
+    ("riordan.TriMatrix([[1], [1, 1]]) - riordan.TriMatrix([[1]])",
+     "BadArgument"),
+    ("riordan.TriMatrix([[1], [1]])", "BadArgument"),
+    ("riordan.TriMatrix([[1], [1, 0]]).inverse()", "BadArgument"),
+    ("riordan.TriMatrix([[Poly.var('t')]]).inverse()", "BadArgument"),
+    ("riordan.TriMatrix([[1], [1, 2]]).log()", "BadArgument"),
+    ("riordan.TriMatrix([[2]]).pow_binomial(2)", "BadArgument"),
+    ("riordan.TriMatrix([[1]]).truncated(2)", "BadArgument"),
+    ("riordan.TriMatrix([[1]]).truncated(-1)", "BadArgument"),
+    ("riordan.matrix_from_json_dict({'size': 3, 'rows': [['1/1']]})",
+     "BadArgument"),
 )
 API_PRELUDE = ("from riordan_lab import bcomp, combinat, flow, pseudo, riordan\n"
                "from riordan_lab.series import (Poly, Series, binom_param,\n"

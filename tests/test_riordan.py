@@ -7,8 +7,8 @@ from math import comb
 
 import pytest
 
-from riordan_lab.errors import (BadConstantTerm, InsufficientOrder,
-                                 NotPseudoInvolution)
+from riordan_lab.errors import (BadArgument, BadConstantTerm,
+                                 InsufficientOrder, NotPseudoInvolution)
 from riordan_lab.riordan import (RiordanPair, TriMatrix, a_sequence, coeff_str,
                                  col_gf, conv_polys, diag_down_gf,
                                  diag_up_poly, matrix_from_json_dict,
@@ -266,7 +266,7 @@ def test_json_round_trip_bit_exact():
 
 def test_json_size_mismatch_rejected():
     data = {"size": 3, "rows": [["1/1"]]}
-    with pytest.raises(AssertionError):
+    with pytest.raises(BadArgument):
         matrix_from_json_dict(data)
 
 

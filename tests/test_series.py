@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from riordan_lab.errors import (BadConstantTerm, NonzeroConstant,
-                                NotReversible)
+from riordan_lab.errors import (BadArgument, BadConstantTerm,
+                                NonzeroConstant, NotReversible)
+from riordan_lab.pseudo import b_from_g, g_from_b
 from riordan_lab.series import (Poly, Series, binom_param, falling_factorial,
                                 format_terms)
 
@@ -195,7 +196,7 @@ def test_pow_param_then_evaluate():
 
 def test_pow_param_rejects_parameter_collision():
     lifted = Series([Poly("phi", (1,)), Poly("phi", (0, 1))], 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadArgument):
         lifted.pow_param("phi")
 
 
@@ -310,6 +311,173 @@ def test_revert_matches_sympy(order):
         want = [Fraction(int(c.numerator), int(c.denominator))
                 for c in (r.coeff(y ** k) for k in range(order + 1))]
         assert list(w.revert().coeffs) == want, name
+
+
+def _kernel_inputs(order, rng, first):
+    """Series of the given order and constant term: dense rational, sparse
+    with int and Fraction zeros, and all-int."""
+    def rnd():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    cases = {
+        "dense": [rnd() for _ in range(order)],
+        "sparse": [rng.choice([0, Fraction(0), rnd()]) for _ in range(order)],
+        "ints": [rng.randint(-4, 4) for _ in range(order)],
+    }
+    return {name: Series([first] + cs, order) for name, cs in cases.items()}
+
+
+SYMPY_KERNELS = {
+    # name: (constant term, riordan_lab call, ring_series call at precision n)
+    "mul": (Fraction(-3, 2), lambda s, t: s * t,
+            lambda rs, p, q, x, n: rs.rs_mul(p, q, x, n)),
+    "inverse": (Fraction(5, 3), lambda s, t: s.inverse(),
+                lambda rs, p, q, x, n: rs.rs_series_inversion(p, x, n)),
+    "sqrt": (1, lambda s, t: s.sqrt(),
+             lambda rs, p, q, x, n: rs.rs_nth_root(p, 2, x, n)),
+    "log": (1, lambda s, t: s.log(),
+            lambda rs, p, q, x, n: rs.rs_log(p, x, n)),
+    "exp": (0, lambda s, t: s.exp(),
+            lambda rs, p, q, x, n: rs.rs_exp(p, x, n)),
+}
+for _q in (3, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3)):
+    SYMPY_KERNELS["pow_scalar %s" % _q] = (
+        1, lambda s, t, q=_q: s.pow_scalar(q),
+        lambda rs, p, q, x, n, e=_q: rs.rs_pow(
+            rs.rs_nth_root(p, e.denominator, x, n), e.numerator, x, n))
+
+
+@pytest.mark.parametrize("kernel", sorted(SYMPY_KERNELS))
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 12])
+def test_kernels_match_sympy_ring_series(kernel, order):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys import ring_series
+    ring, x = sympy.polys.rings.ring("x", sympy.QQ)
+    first, ours, theirs = SYMPY_KERNELS[kernel]
+    rng = random.Random(200 + order)
+
+    def to_ring(s):
+        return sum((sympy.QQ(c.numerator, c.denominator) * x ** k
+                    for k, c in enumerate(map(Fraction, s.coeffs))), ring(0))
+
+    inputs = _kernel_inputs(order, rng, first)
+    others = list(_kernel_inputs(order, rng, Fraction(2, 7)).values())
+    for (name, s), t in zip(inputs.items(), others):
+        r = theirs(ring_series, to_ring(s), to_ring(t), x, order + 1)
+        want = [Fraction(int(c.numerator), int(c.denominator))
+                for c in (r.coeff(x ** k) for k in range(order + 1))]
+        assert list(ours(s, t).coeffs) == want, name
+
+
+# Each kernel on hand-built inputs, with the repr its output had when every
+# kernel summed with its own loop: ints stay ints, a Fraction anywhere in a
+# sum (even a Fraction 0 the loop did not skip) makes a Fraction, and the
+# zero Polys and constant Polys a Poly sum leaves stay Polys.
+KERNEL_REPRS = (
+    # mul
+    ('Series([1, 2, 0, -1], 3) * Series([3, 0, 1, 1], 3)',
+     'Series([3, 6, 1, 0], order=3)'),
+    ('Series([1, Fraction(0), 2, 0], 3) * Series([1, 1, Fraction(0), 1], 3)',
+     'Series([1, 1, 2, 3], order=3)'),
+    ('Series([Fraction(1, 2), 1, 0, 2], 3) '
+     '* Series([2, Fraction(0), 1, 1], 3)',
+     'Series([Fraction(1, 1), 2, Fraction(1, 2), Fraction(11, 2)], order=3)'),
+    ("Series([1, t, 0, Fraction(1, 2)], 3) "
+     "* Series([1, 0, Poly('t'), t + 1], 3)",
+     "Series([1, Poly('t', [0, 1]), 0, Poly('t', [Fraction(3, 2), 1])], "
+     'order=3)'),
+    ("Series([1, 1], 3) * Series([Poly('t'), 3], 3)",
+     'Series([0, 3, 3, 0], order=3)'),
+    # inverse
+    ('Series([1, 0, 2, 0, 1], 4).inverse()',
+     'Series([Fraction(1, 1), Fraction(0, 1), Fraction(-2, 1), '
+     'Fraction(0, 1), Fraction(3, 1)], order=4)'),
+    ('Series([2, Fraction(0), 1], 4).inverse()',
+     'Series([Fraction(1, 2), Fraction(0, 1), Fraction(-1, 4), '
+     'Fraction(0, 1), Fraction(1, 8)], order=4)'),
+    ('Series([1, 0, t, 0, 0], 5).inverse()',
+     'Series([Fraction(1, 1), Fraction(0, 1), '
+     "Poly('t', [0, Fraction(-1, 1)]), Poly('t', []), "
+     "Poly('t', [0, 0, Fraction(1, 1)]), Poly('t', [])], order=5)"),
+    # sqrt
+    ('Series([1, 0, 2, 0, 1], 4).sqrt()',
+     'Series([1, Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), '
+     'Fraction(0, 1)], order=4)'),
+    ('Series([1, Fraction(0), Fraction(1, 3)], 3).sqrt()',
+     'Series([1, Fraction(0, 1), Fraction(1, 6), Fraction(0, 1)], order=3)'),
+    ("Series([1, Poly('t'), 1, t], 4).sqrt()",
+     "Series([1, Poly('t', []), Poly('t', [Fraction(1, 2)]), "
+     "Poly('t', [0, Fraction(1, 2)]), Poly('t', [Fraction(-1, 8)])], "
+     'order=4)'),
+    # exp, and the Poly exp behind pow_param
+    ('Series([0, 1, 0, Fraction(1, 2)], 4).exp()',
+     'Series([1, Fraction(1, 1), Fraction(1, 2), Fraction(2, 3), '
+     'Fraction(13, 24)], order=4)'),
+    ('Series([0, 2, 0, 0], 3).exp()',
+     'Series([1, Fraction(2, 1), Fraction(2, 1), Fraction(4, 3)], order=3)'),
+    ('Series([0, 0, t, 0, 1], 5).exp()',
+     "Series([1, Fraction(0, 1), Poly('t', [0, Fraction(1, 1)]), "
+     "Poly('t', []), Poly('t', [Fraction(1, 1), 0, Fraction(1, 2)]), "
+     "Poly('t', [])], order=5)"),
+    ("Series([1, 0, 1], 5).pow_param('phi')",
+     "Series([1, Fraction(0, 1), Poly('phi', [0, Fraction(1, 1)]), "
+     "Poly('phi', []), Poly('phi', [0, Fraction(-1, 2), Fraction(1, 2)]), "
+     "Poly('phi', [])], order=5)"),
+    # revert
+    ('Series([0, 1, 0, 1], 5).revert()',
+     'Series([0, Fraction(1, 1), Fraction(0, 1), Fraction(-1, 1), '
+     'Fraction(0, 1), Fraction(3, 1)], order=5)'),
+    ('Series([0, 1, 2, 0, 1], 4).revert()',
+     'Series([0, Fraction(1, 1), Fraction(-2, 1), Fraction(8, 1), '
+     'Fraction(-41, 1)], order=4)'),
+    ('Series([0, Fraction(2, 3), 0, Fraction(0), 1], 5).revert()',
+     'Series([0, Fraction(3, 2), Fraction(0, 1), Fraction(0, 1), '
+     'Fraction(-243, 32), Fraction(0, 1)], order=5)'),
+    ("Series([0, 1, Poly('t'), t, 0], 4).revert()",
+     'Series([0, Fraction(1, 1), Fraction(0, 1), '
+     "Poly('t', [0, Fraction(-1, 1)]), Fraction(0, 1)], order=4)"),
+    ("Series([0, Fraction(3, 2), 0, 1, 0, Poly('t'), t, 0, Poly('t')], 9)"
+     ".revert()",
+     'Series([0, Fraction(2, 3), Fraction(0, 1), Fraction(-16, 81), '
+     'Fraction(0, 1), Fraction(128, 729), '
+     "Poly('t', [0, Fraction(-128, 2187)]), Fraction(-4096, 19683), "
+     "Poly('t', [0, Fraction(1024, 6561)]), "
+     "Poly('t', [Fraction(450560, 1594323)])], order=9)"),
+    # g_from_b
+    ('g_from_b(Series([1, 2], 2), 1, 5)',
+     'Series([1, 1, 1, 3, 7, 13], order=5)'),
+    ('g_from_b(Series([0, Fraction(1, 2)], 3), 1, 7)',
+     'Series([1, 0, 0, Fraction(1, 2), Fraction(0, 1), Fraction(0, 1), '
+     'Fraction(1, 2), Fraction(0, 1)], order=7)'),
+    ('g_from_b(Series([1, 0, 1], 2), Fraction(1, 2), 5)',
+     'Series([1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), '
+     'Fraction(1, 16), Fraction(17, 32)], order=5)'),
+    ('g_from_b(Series([1, Fraction(0), 2], 2), 1, 5)',
+     'Series([1, 1, 1, 1, 1, 3], order=5)'),
+    ('g_from_b(Series([0, 1], 2), t, 6)',
+     "Series([1, 0, 0, Poly('t', [0, 1]), Poly('t', []), Poly('t', []), "
+     "Poly('t', [0, 0, 2])], order=6)"),
+    ('g_from_b(Series([1, 1], 2), t, 5)',
+     "Series([1, Poly('t', [0, 1]), Poly('t', [0, 0, 1]), "
+     "Poly('t', [0, 1, 0, 1]), Poly('t', [0, 0, 3, 0, 1]), "
+     "Poly('t', [0, 0, 0, 6, 0, 1])], order=5)"),
+    # b_from_g
+    ('b_from_g(Series([1, 1, 1, 3, 7, 13], 5))',
+     'Series([1, 2, 0], order=2)'),
+    ('b_from_g(g_from_b(Series([0, Fraction(1, 2)], 3), 1, 7))',
+     'Series([0, Fraction(1, 2), Fraction(0, 1), Fraction(0, 1)], order=3)'),
+    ('b_from_g(g_from_b(Series([1, Fraction(0), 2], 2), 1, 5))',
+     'Series([1, 0, 2], order=2)'),
+    ('b_from_g(g_from_b(Series([1, 1], 3), Fraction(-5, 7), 6))',
+     'Series([Fraction(-5, 7), Fraction(-5, 7), Fraction(0, 1)], order=2)'),
+)
+
+
+@pytest.mark.parametrize("call, want", KERNEL_REPRS)
+def test_kernels_keep_the_coefficient_types(call, want):
+    scope = {"Fraction": Fraction, "Poly": Poly, "Series": Series,
+             "g_from_b": g_from_b, "b_from_g": b_from_g, "t": Poly.var("t")}
+    assert repr(eval(call, scope)) == want
 
 
 # ---------------------------------------------------------------------------
