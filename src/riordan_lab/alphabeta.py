@@ -33,7 +33,7 @@ from math import factorial
 from typing import Sequence
 
 from .combinat import compositions, partitions
-from .errors import InsufficientOrder, NotNormalized
+from .errors import BadArgument, InsufficientOrder, NotNormalized
 from .riordan import RiordanPair, TriMatrix
 from .series import Coeff, Poly, Series, _dot
 
@@ -57,7 +57,9 @@ def factor_column_gf(k: int, weight: Coeff, m: int, order: int) -> Series:
 
     so the weight may be a rational or a Poly and everything stays exact.
     """
-    assert k >= 1 and m >= 0 and order >= 0
+    if k < 1 or m < 0 or order < 0:
+        raise BadArgument("need k >= 1, m >= 0 and order >= 0, got "
+                          "(%d, %d, %d)" % (k, m, order))
     coeffs: list[Coeff] = [0] * (order + 1)
     if m <= order:
         coeffs[m] = 1
@@ -202,7 +204,9 @@ def weights_to_series(weights: Sequence[Coeff], order: int | None = None) -> Ser
 
 def series_to_weights(s: Series) -> list[Coeff]:
     """Unpack sum_k w_k x^{k+1} back into [w1, w2, ...]."""
-    assert s.coeff(0) == 0 and s.coeff(1) == 0
+    if s.coeff(0) != 0 or s.coeff(1) != 0:
+        raise BadArgument("a weight series starts at x^2, got %s + %s*x"
+                          % (s.coeff(0), s.coeff(1)))
     return [s.coeff(k + 1) for k in range(1, s.order)]
 
 

@@ -37,16 +37,17 @@ column and diagonal generating functions, the polynomial ladders) are
 stated and checked in :mod:`riordan_lab.verify`.
 """
 
+from __future__ import annotations
+
 from fractions import Fraction
 from math import comb, factorial
-from typing import List, Union
 
 from .combinat import catalan_number, weight_sum
 from .errors import BadArgument, InsufficientOrder
 from .riordan import TriMatrix
 from .series import Coeff, Poly, Series, falling_factorial
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 def _binom(top: int, k: int) -> int:
@@ -99,7 +100,7 @@ def u_entry(b_fun: Series, n: int, m: int) -> Coeff:
     return falling_factorial((n + m) // 2, m - 1) * total
 
 
-def b_powers(b_fun: Series, top: int) -> List[Series]:
+def b_powers(b_fun: Series, top: int) -> list[Series]:
     """The powers B^0, B^1, ..., B^top, power m truncated to order
     (top - m) // 2.
 
@@ -121,7 +122,7 @@ def b_powers(b_fun: Series, top: int) -> List[Series]:
     return powers
 
 
-def _table_entry(powers: List[Series], n: int, m: int, beta: Coeff) -> Coeff:
+def _table_entry(powers: list[Series], n: int, m: int, beta: Coeff) -> Coeff:
     """Coefficient of phi^m in [x^n] (g[phi])^beta, m <= n, from a table of
     B-powers: beta * falling(beta + (n+m)/2 - 1, m-1) / m! * s_{(n-m)/2}(m).
     At beta = 1 it is entry (n, m) of the triangle."""
@@ -175,12 +176,12 @@ def u_beta_poly(b_fun: Series, n: int, beta: Coeff, param: str = "x") -> Poly:
     return Poly(param, [_table_entry(powers, n, m, beta) for m in range(n + 1)])
 
 
-def _times_linear(cs: List[int], a: int) -> List[int]:
+def _times_linear(cs: list[int], a: int) -> list[int]:
     """Coefficients of (phi + a) * sum_j cs[j] phi^j."""
     return [a * c + prev for c, prev in zip(cs + [0], [0] + cs)]
 
 
-def b_expansion_rows(b_fun: Series, top: int, param: str = "phi") -> List[Poly]:
+def b_expansion_rows(b_fun: Series, top: int, param: str = "phi") -> list[Poly]:
     """[x^n] g^phi for n = 0..top as polynomials in phi, g the phi = 1
     member of B; the same polynomials as ``pseudo.b_expansion``.
 
@@ -193,7 +194,7 @@ def b_expansion_rows(b_fun: Series, top: int, param: str = "phi") -> List[Poly]:
     powers = b_powers(b_fun, top)
     rows = [Poly.const(param, 1)]
     for n in range(1, top + 1):
-        total: List[Coeff] = [0] * (n + 1)
+        total: list[Coeff] = [0] * (n + 1)
         # phi * falling(phi + k - 1, q - 1) at the row's first q (1 or 2)
         fall = [0, 1] if n % 2 else [0, n // 2, 1]
         for q in range(2 - n % 2, n + 1, 2):
@@ -244,7 +245,7 @@ def rna_row_poly(n: int, param: str = "x") -> Poly:
     _require_nonnegative(n)
     if n == 0:
         return Poly(param, [1])
-    coeffs: List[Coeff] = [0] * (n + 1)
+    coeffs: list[Coeff] = [0] * (n + 1)
     for q in range(2 - n % 2, n + 1, 2):
         k = (n + q) // 2
         coeffs[q] = Fraction(_binom(k, q - 1) * _binom(k, q), k)
@@ -337,7 +338,7 @@ def one_plus_x_column_series(m: int, order: int) -> Series:
     """Column m of the B = 1+x triangle in closed form:
     x^m * sum_j C_j binom(m+j, m-j) x^(2j)."""
     _require_nonnegative(m)
-    coeffs: List[Coeff] = [0] * (order + 1)
+    coeffs: list[Coeff] = [0] * (order + 1)
     for j in range((order - m) // 2 + 1):
         coeffs[m + 2 * j] = catalan_number(j) * _binom(m + j, m - j)
     return Series(coeffs, order)
@@ -403,7 +404,7 @@ def f_poly(n: int, param: str = "x") -> Poly:
 
 def cbar_series(order: int) -> Series:
     """sum_n C_n x^(2n) / (2n)! with C_n the Catalan numbers."""
-    coeffs: List[Coeff] = [0] * (order + 1)
+    coeffs: list[Coeff] = [0] * (order + 1)
     for k in range(order // 2 + 1):
         coeffs[2 * k] = Fraction(catalan_number(k), factorial(2 * k))
     return Series(coeffs, order)
@@ -420,7 +421,7 @@ def _row_via_conv(n: int, s_val, param: str) -> Poly:
     _require_nonnegative(n)
     if n == 0:
         return Poly(param, [1])
-    coeffs: List[Coeff] = [0] * (n + 1)
+    coeffs: list[Coeff] = [0] * (n + 1)
     for q in range(2 - n % 2, n + 1, 2):
         j = (n - q) // 2
         coeffs[q] = Fraction(_binom((n + q) // 2, q), j + 1) * s_val(j, q)

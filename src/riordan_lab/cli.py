@@ -22,6 +22,10 @@ example extracting weights from a series that is not normalized).
 RIORDAN_LAB_ORDER; ``verify`` without an explicit order runs each suite
 at its own pinned default instead.  Every verb but ``verify`` takes
 ``--format text|csv|json``; ``verify`` prints its plain table only.
+
+Only ``verify`` loads the suites and the fixtures: the module imports
+:mod:`riordan_lab.verify` when that verb runs or its suite names are
+printed, so the other verbs never pay for the claims.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import flow as flow_mod
-from . import verify as verify_mod
 from .alphabeta import alpha_weights, beta_weights
 from .bcomp import b_expansion_rows, u_matrix
 from .errors import ParseError, RiordanError
@@ -229,6 +232,7 @@ def _cmd_alphabeta_expand(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_verify(args: argparse.Namespace) -> CommandResult:
+    from . import verify as verify_mod
     order = _resolve_order(args, None)
     if args.suite == "all":
         results = verify_mod.run_all(order)
@@ -255,6 +259,18 @@ def _cmd_verify(args: argparse.Namespace) -> CommandResult:
 # ---------------------------------------------------------------------------
 # parser assembly
 # ---------------------------------------------------------------------------
+
+class _SuiteNames:
+    """The ``verify`` choices: "all" and the names in ``verify.SUITES``.
+
+    argparse reads them only to parse or print the ``verify`` verb, so the
+    suites (and the fixtures they load) are imported only then.
+    """
+
+    def __iter__(self):
+        from .verify import SUITES
+        return iter(("all",) + tuple(SUITES))
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -329,7 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ax.set_defaults(func=_cmd_alphabeta_expand)
 
     vp = groups.add_parser("verify", help="run a named regression suite")
-    vp.add_argument("suite", choices=("all",) + tuple(verify_mod.SUITES))
+    # set after add_argument, which iterates the choices to check the metavar
+    vp.add_argument("suite").choices = _SuiteNames()
     _add_order(vp)
     vp.set_defaults(func=_cmd_verify)
 

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
-from .errors import BadConstantTerm, ParseError
+from .errors import BadArgument, BadConstantTerm, ParseError
 from .series import Series
 
 FUNCS = ("sqrt", "log", "exp")
@@ -117,7 +117,7 @@ class Power:
     exponent: Fraction
 
 
-Node = Union[Lit, Var, Named, Call, Neg, BinOp, Power]
+Node = Lit | Var | Named | Call | Neg | BinOp | Power
 
 
 # parsing --------------------------------------------------------------------
@@ -296,7 +296,8 @@ def to_text(node: Node) -> str:
 
 def eval_series(node: Node, order: int) -> Series:
     """Evaluate an AST to an exact truncated series of the given order."""
-    assert order >= 0
+    if order < 0:
+        raise BadArgument("order must be nonnegative, got %d" % order)
     if isinstance(node, Lit):
         return Series([node.value], order)
     if isinstance(node, Var):

@@ -11,6 +11,7 @@ import json
 from fractions import Fraction
 from importlib import resources
 
+from .errors import BadArgument
 from .riordan import TriMatrix, matrix_from_json_dict
 
 MATRIX_NAMES = (
@@ -34,7 +35,8 @@ def _load_json(name: str) -> dict:
 
 def load_matrix(name: str) -> TriMatrix:
     """One of the reference triangles, by name (see MATRIX_NAMES)."""
-    assert name in MATRIX_NAMES, name
+    if name not in MATRIX_NAMES:
+        raise BadArgument("no reference matrix named %r" % (name,))
     return matrix_from_json_dict(_load_json(name))
 
 

@@ -120,7 +120,9 @@ class Poly:
     __slots__ = ("param", "coeffs")
 
     def __init__(self, param: str, coeffs: Iterable[Coeff] = ()):
-        assert isinstance(param, str), "parameter name must be a string"
+        if not isinstance(param, str):
+            raise BadArgument("parameter name must be a string, got %r"
+                              % (param,))
         cs = list(coeffs)
         while cs and _is_zero(cs[-1]):
             cs.pop()

@@ -662,7 +662,7 @@ def suite_flow(order: int = 12) -> list[Check]:
     checks.append(("lattice-path member: L(R) is the 1/(1-x) triangle",
                    flow.l_matrix(r, 11) == load_matrix("comp_matrix_geom")))
     checks.append(("parity of the flow through R", flow_parity_check(r, order)))
-    g_any = pseudo.g_from_b(Series([1, -2, 3, 1, 0, 2, 1], 6),
+    g_any = pseudo.g_from_b(Series([1, -2, 3, 1, 0, 2, 1], max(6, order)),
                             Fraction(2, 3), order)
     checks.append(("parity of the flow through a generated member",
                    flow_parity_check(g_any, order - 1)))

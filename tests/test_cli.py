@@ -181,6 +181,9 @@ def test_verify_failing_suite_is_reported_not_hidden():
 # the lines of the alphabeta suite that state false identities
 FALSE_ALPHABETA_LINES = ("split product ", "negated-weight product ",
                          "tangent relations at t = 1 ")
+# orders past 12 at which a suite must still run: flow's generated member
+# once needed a B with more coefficients than it carried above order 14
+HIGHER_ORDERS = {"flow": (15, 16)}
 
 
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))
@@ -189,7 +192,7 @@ def test_suites_at_small_orders_raise_or_report_only_false_lines(suite):
     # (exit 3) rather than a traceback or a true line reported FAIL; from
     # that order on, only the false alphabeta identities may FAIL (exit 1)
     codes = []
-    for order in range(13):
+    for order in [*range(13), *HIGHER_ORDERS.get(suite, ())]:
         result = run(["verify", suite, "--order", str(order)])
         codes.append(result.exit_code)
         if result.exit_code == 3:
@@ -217,6 +220,69 @@ def test_verify_takes_no_format_flag():
         with pytest.raises(SystemExit) as info:
             run(["verify", "theorem5", "--format", fmt])
         assert info.value.code == 2
+
+
+_VERIFY_USAGE = (
+    "usage: riordan-lab verify [-h] [--order ORDER]\n"
+    "                          {all,matrices,theorem1,theorem2,theorem3,"
+    "theorem4,theorem5,theorem6,theorem7,theorem8,theorem9,bpoly,powers,"
+    "flow,alphabeta,detector}\n")
+# argv -> (exit code, stdout, stderr) at COLUMNS=80: the help and usage text
+# that names the suites, pinned byte for byte
+CLI_SURFACE = {
+    ("verify", "-h"): (0, _VERIFY_USAGE + (
+        "\n"
+        "positional arguments:\n"
+        "  {all,matrices,theorem1,theorem2,theorem3,theorem4,theorem5,"
+        "theorem6,theorem7,theorem8,theorem9,bpoly,powers,flow,alphabeta,"
+        "detector}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --order ORDER         truncation order (default 16, or "
+        "RIORDAN_LAB_ORDER)\n"), ""),
+    ("-h",): (0, (
+        "usage: riordan-lab [-h]\n"
+        "                   {series,riordan,bseq,bexp,bcomp,flow,alphabeta,"
+        "verify} ...\n"
+        "\n"
+        "Exact arithmetic for Riordan-group pseudo-involutions: weight-series "
+        "members,\n"
+        "composition triangles, flow logarithms and infinite-product "
+        "factorizations.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {series,riordan,bseq,bexp,bcomp,flow,alphabeta,verify}\n"
+        "    series              series expression utilities\n"
+        "    riordan             lower-triangular pair matrices\n"
+        "    bseq                weight-sequence extraction\n"
+        "    bexp                coefficient expansion in phi\n"
+        "    bcomp               composition triangles\n"
+        "    flow                one-parameter flow through a member\n"
+        "    alphabeta           infinite-product factorizations\n"
+        "    verify              run a named regression suite\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"), ""),
+    ("verify", "nosuch"): (2, "", _VERIFY_USAGE + (
+        "riordan-lab verify: error: argument suite: invalid choice: 'nosuch' "
+        "(choose from 'all', 'matrices', 'theorem1', 'theorem2', 'theorem3', "
+        "'theorem4', 'theorem5', 'theorem6', 'theorem7', 'theorem8', "
+        "'theorem9', 'bpoly', 'powers', 'flow', 'alphabeta', 'detector')\n")),
+    ("verify",): (2, "", _VERIFY_USAGE + (
+        "riordan-lab verify: error: the following arguments are required: "
+        "suite\n")),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_SURFACE), ids=" ".join)
+def test_help_and_usage_text_is_pinned(argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "riordan_lab.cli"]
+                          + list(argv), capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == CLI_SURFACE[argv]
 
 
 # the five dense or empirical routes that are oracles, not claims
@@ -390,8 +456,14 @@ API_DOMAIN_ERRORS = (
     ("riordan.TriMatrix([[1]]).truncated(-1)", "BadArgument"),
     ("riordan.matrix_from_json_dict({'size': 3, 'rows': [['1/1']]})",
      "BadArgument"),
+    ("alphabeta.factor_column_gf(0, 1, 0, 3)", "BadArgument"),
+    ("alphabeta.series_to_weights(Series([1, 2, 3], 3))", "BadArgument"),
+    ("exprs.eval_series(exprs.parse('x'), -1)", "BadArgument"),
+    ("fixtures.load_matrix('nosuch')", "BadArgument"),
+    ("Poly(3, [1])", "BadArgument"),
 )
-API_PRELUDE = ("from riordan_lab import bcomp, combinat, flow, pseudo, riordan\n"
+API_PRELUDE = ("from riordan_lab import (alphabeta, bcomp, combinat, exprs,\n"
+               "                         fixtures, flow, pseudo, riordan)\n"
                "from riordan_lab.series import (Poly, Series, binom_param,\n"
                "                                falling_factorial)\n")
 API_SCRIPT = API_PRELUDE + """
@@ -434,6 +506,56 @@ def test_domain_errors_exit_three_in_a_fresh_process(opt):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [name for _, name in API_DOMAIN_ERRORS]
+
+
+# import footprint: each script runs in a fresh process, so that the modules
+# of this one stay as they are
+
+def _run_script(script: str) -> str:
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+CLAIM_MODULES_SCRIPT = """
+import sys
+from riordan_lab import cli
+claims = ("riordan_lab.verify", "riordan_lab.fixtures")
+assert cli.run(["bcomp", "matrix", "--b", "geom", "--order", "4"]).exit_code == 0
+print(*[name in sys.modules for name in claims])
+assert cli.run(["verify", "theorem5"]).exit_code == 0
+print(*[name in sys.modules for name in claims])
+"""
+
+
+def test_only_the_verify_verb_loads_the_claims():
+    assert _run_script(CLAIM_MODULES_SCRIPT) == "False False\nTrue True\n"
+
+
+REIMPORT_SCRIPT = """
+import gc, importlib, sys, weakref
+cli = importlib.import_module("riordan_lab.cli")
+assert cli.run(["bcomp", "matrix", "--b", "geom", "--order", "4"]).exit_code == 0
+assert cli.run(["verify", "theorem5"]).exit_code == 0
+old = weakref.ref(sys.modules["riordan_lab.series"].Series)
+del cli
+for name in [m for m in sys.modules
+             if m == "riordan_lab" or m.startswith("riordan_lab.")]:
+    del sys.modules[name]
+importlib.import_module("riordan_lab.cli")
+gc.collect()
+print(old() is None)
+"""
+
+
+def test_a_reimport_frees_the_old_copy():
+    # nothing outside the package (such as typing's cache of subscripted
+    # generics) may keep a class of the dropped copy alive
+    assert _run_script(REIMPORT_SCRIPT) == "True\n"
 
 
 def test_usage_errors_exit_two():

@@ -296,21 +296,30 @@ def test_revert_matches_lagrange_inversion(order):
         assert repr(got) == repr(want), name
 
 
+def _to_ring(s, x):
+    """A series with rational coefficients as a polynomial of x's ring."""
+    qq = x.ring.domain
+    return sum((qq(c.numerator, c.denominator) * x ** k
+                for k, c in enumerate(map(Fraction, s.coeffs))), x.ring(0))
+
+
+def _from_ring(r, x, order):
+    """The coefficients of x^0 .. x^order of a ring polynomial."""
+    return [Fraction(int(c.numerator), int(c.denominator))
+            for c in (r.coeff(x ** k) for k in range(order + 1))]
+
+
 @pytest.mark.parametrize("order", [1, 2, 5, 12])
 def test_revert_matches_sympy(order):
     sympy = pytest.importorskip("sympy")
     from sympy.polys.ring_series import rs_series_reversion
-    ring, x, y = sympy.polys.rings.ring("x, y", sympy.QQ)
+    _, x, y = sympy.polys.rings.ring("x, y", sympy.QQ)
     rng = random.Random(100 + order)
     for name, w in _reversion_inputs(order, rng).items():
         if name.startswith("poly"):
             continue
-        p = sum((sympy.QQ(c.numerator, c.denominator) * x ** k
-                 for k, c in enumerate(map(Fraction, w.coeffs))), ring(0))
-        r = rs_series_reversion(p, x, order + 1, y)
-        want = [Fraction(int(c.numerator), int(c.denominator))
-                for c in (r.coeff(y ** k) for k in range(order + 1))]
-        assert list(w.revert().coeffs) == want, name
+        r = rs_series_reversion(_to_ring(w, x), x, order + 1, y)
+        assert list(w.revert().coeffs) == _from_ring(r, y, order), name
 
 
 def _kernel_inputs(order, rng, first):
@@ -352,21 +361,29 @@ for _q in (3, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3)):
 def test_kernels_match_sympy_ring_series(kernel, order):
     sympy = pytest.importorskip("sympy")
     from sympy.polys import ring_series
-    ring, x = sympy.polys.rings.ring("x", sympy.QQ)
+    _, x = sympy.polys.rings.ring("x", sympy.QQ)
     first, ours, theirs = SYMPY_KERNELS[kernel]
     rng = random.Random(200 + order)
-
-    def to_ring(s):
-        return sum((sympy.QQ(c.numerator, c.denominator) * x ** k
-                    for k, c in enumerate(map(Fraction, s.coeffs))), ring(0))
-
     inputs = _kernel_inputs(order, rng, first)
     others = list(_kernel_inputs(order, rng, Fraction(2, 7)).values())
     for (name, s), t in zip(inputs.items(), others):
-        r = theirs(ring_series, to_ring(s), to_ring(t), x, order + 1)
-        want = [Fraction(int(c.numerator), int(c.denominator))
-                for c in (r.coeff(x ** k) for k in range(order + 1))]
-        assert list(ours(s, t).coeffs) == want, name
+        r = theirs(ring_series, _to_ring(s, x), _to_ring(t, x), x, order + 1)
+        assert list(ours(s, t).coeffs) == _from_ring(r, x, order), name
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 12])
+def test_compose_matches_sympy_ring_series(order):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.ring_series import rs_subs
+    _, x = sympy.polys.rings.ring("x", sympy.QQ)
+    rng = random.Random(300 + order)
+    outers = _kernel_inputs(order, rng, Fraction(-3, 2))
+    inners = _kernel_inputs(order, rng, 0)
+    for outer_name, f in outers.items():
+        for inner_name, g in inners.items():
+            r = rs_subs(_to_ring(f, x), {x: _to_ring(g, x)}, x, order + 1)
+            assert list(f.compose(g).coeffs) == _from_ring(r, x, order), \
+                (outer_name, inner_name)
 
 
 # Each kernel on hand-built inputs, with the repr its output had when every
@@ -551,7 +568,7 @@ def test_poly_compose_via_call():
 
 
 def test_poly_param_must_be_string():
-    with pytest.raises(AssertionError):
+    with pytest.raises(BadArgument):
         Poly(1, [0, 1])
 
 
